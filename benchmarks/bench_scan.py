@@ -43,7 +43,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.config import LeapsConfig
-from repro.core.detector import LeapsDetector, WindowDetection
+from repro.core.detector import LeapsDetector, WindowDetection, detections
 from repro.etw.events import EventRecord
 from repro.etw.parser import RawLogParser
 from repro.etw.stack_partition import StackPartitionError, is_app_module, is_system_module
@@ -163,17 +163,7 @@ def naive_scan(pipeline, events: List[EventRecord]) -> List[WindowDetection]:
 
 
 def fast_scan(pipeline, events: List[EventRecord]) -> List[WindowDetection]:
-    windows, scores = pipeline.score_events(events)
-    return [
-        WindowDetection(
-            index=window.start_index,
-            start_eid=window.start_eid,
-            end_eid=window.end_eid,
-            score=float(score),
-            malicious=bool(score < 0.0),
-        )
-        for window, score in zip(windows, scores)
-    ]
+    return detections(*pipeline.score_events(events))
 
 
 def bench_dataset(name: str, config: LeapsConfig, n_jobs: int, repeats: int) -> dict:

@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.cfg_inference import CFG
 from repro.core.config import LeapsConfig
 from repro.core.persistence import (
@@ -87,6 +89,15 @@ class _CaptureRef:
 
     path: str
     n_events: int
+
+
+def detections(spans: np.ndarray, scores: np.ndarray) -> List[WindowDetection]:
+    """:class:`WindowDetection` per window from the scorer's ``(m, 3)``
+    spans and ``m`` decision values."""
+    return [
+        WindowDetection(index, start_eid, end_eid, score, score < 0.0)
+        for (index, start_eid, end_eid), score in zip(spans.tolist(), scores.tolist())
+    ]
 
 
 #: One bundle-loaded detector per worker process, installed by the pool
@@ -210,10 +221,15 @@ class LeapsDetector:
         with_reports: bool,
     ) -> ScanResult:
         """Scan one log (a path when ``lines`` is None, else the given
-        lines) through the batch fast path."""
-        if lines is None:
-            assert source is not None
-            lines = self._log_lines(source)
+        lines) through the column scorer.  Captures are scored from
+        their columns and never build records; text is parsed with its
+        column sidecar."""
+        if lines is None and is_capture_path(source):
+            lines = load_capture(source).events
+        elif lines is None:
+            # parse_fast splits and decodes a file's bytes exactly as
+            # read_log_lines does, without a per-line pass
+            lines = Path(source).read_bytes()
         elif isinstance(lines, _CaptureRef):
             reference = lines
             lines = load_capture(reference.path).events
@@ -231,25 +247,18 @@ class LeapsDetector:
                 report.merge(lines.report)
             if source is None:
                 source = lines.source
-            events: List = list(lines)
+            events = lines
         else:
             events = parse_fast(
                 lines,
                 policy=policy or self.pipeline.parser.policy,
                 report=report,
+                columns=True,
             )
-        windows, scores = self.pipeline.score_events(events)
-        detections = [
-            WindowDetection(
-                index=window.start_index,
-                start_eid=window.start_eid,
-                end_eid=window.end_eid,
-                score=float(score),
-                malicious=bool(score < 0.0),
-            )
-            for window, score in zip(windows, scores)
-        ]
-        return ScanResult(source=source, detections=detections, report=report)
+        spans, scores = self.pipeline.score_events(events)
+        return ScanResult(
+            source=source, detections=detections(spans, scores), report=report
+        )
 
     def scan_logs(
         self,

@@ -46,7 +46,8 @@ import numpy as np
 from repro.core.cfg_inference import CFG, CFGInferencer
 from repro.core.config import LeapsConfig
 from repro.core.weights import WeightAssessor
-from repro.etw.events import EventRecord
+from repro.etw.events import EventColumns, EventLog, EventRecord
+from repro.etw.fastparse import parse_fast
 from repro.etw.parser import RawLogParser, iter_parse
 from repro.etw.recovery import ParseReport
 from repro.etw.stack_partition import StackPartitioner
@@ -96,6 +97,18 @@ class PreparedTraining:
 
 class NotTrainedError(RuntimeError):
     pass
+
+
+def event_columns(events: Sequence[EventRecord]) -> EventColumns:
+    """The interned columns of an event sequence, for the batch scorer:
+    a deferred capture log's columns, a parse's sidecar, or the columns
+    of the records themselves."""
+    if isinstance(events, EventLog):
+        if events.unbuilt_columns is not None:
+            return events.unbuilt_columns
+        if events.columns is not None and events.columns.n_events == len(events):
+            return events.columns
+    return EventColumns.from_records(events)
 
 
 class LeapsPipeline:
@@ -315,6 +328,14 @@ class LeapsPipeline:
         return self.report
 
     # -- testing phase -------------------------------------------------
+    def _require_trained(self) -> None:
+        if (
+            self.model is None
+            or self.featurizer is None
+            or self.standardizer is None
+        ):
+            raise NotTrainedError("pipeline has not been trained")
+
     def featurize_log(
         self, lines: Iterable[str]
     ) -> Tuple[List[Window], np.ndarray]:
@@ -323,55 +344,67 @@ class LeapsPipeline:
         if self.featurizer is None or self.standardizer is None:
             raise NotTrainedError("pipeline has not been trained")
         events = self.parser.parse_lines(lines)
-        windows, matrix = self.coalescer.coalesce_with_matrix(
-            self.featurizer.transform(events), events
-        )
+        windows = self.coalescer.coalesce(self.featurizer.transform(events), events)
         if not windows:
             return [], np.zeros((0, self.coalescer.dims))
-        return windows, self.standardizer.transform(matrix)
-
-    def score_events(
-        self, events: Sequence[EventRecord]
-    ) -> Tuple[List[Window], np.ndarray]:
-        """Score an already-parsed event sequence — the scan fast path.
-
-        Featurizes through the vocabulary memo into one preallocated
-        matrix, coalesces every window in a single gather, standardizes
-        once, and scores in ``stream_chunk_windows``-sized kernel
-        batches.  The chunk boundaries match :meth:`score_stream`'s, so
-        the decision values are bit-identical to the streaming path (and
-        to the historical per-event implementation).
-        """
-        if self.model is None:
-            raise NotTrainedError("pipeline has not been trained")
-        if self.featurizer is None or self.standardizer is None:
-            raise NotTrainedError("pipeline has not been trained")
-        windows, matrix = self.coalescer.coalesce_with_matrix(
-            self.featurizer.transform(events), events
+        return windows, self.standardizer.transform(
+            np.stack([window.vector for window in windows])
         )
-        if not windows:
-            return [], np.zeros(0)
+
+    def score_columns(self, columns: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
+        """Score a log from its interned columns — the batch scan path.
+
+        Reads only the key columns (``category_id``, ``opcode``,
+        ``name_id``, ``walk_id``), their vocabularies and walk table, and
+        ``eid``.  Featurizes each distinct key once and gathers the rows
+        (:meth:`EventFeaturizer.transform_columns`), coalesces every
+        window in one gather, standardizes once, and scores in
+        ``stream_chunk_windows``-sized kernel batches.  The chunk
+        boundaries match :meth:`score_stream`'s, so the decision values
+        are bit-identical to the streaming path.
+
+        Returns the ``(m, 3)`` window spans ``(start_index, start_eid,
+        end_eid)`` and the ``m`` decision values (negative ⇒ malicious).
+        """
+        self._require_trained()
+        spans, matrix = self.coalescer.coalesce_with_matrix(
+            self.featurizer.transform_columns(columns), columns.eid
+        )
+        scores = np.empty(len(spans))
+        if not len(spans):
+            return spans, scores
         X = self.standardizer.transform(matrix)
         chunk = self.config.stream_chunk_windows
-        scores = np.empty(len(windows))
-        for start in range(0, len(windows), chunk):
+        for start in range(0, len(spans), chunk):
             scores[start : start + chunk] = self.model.decision_function(
                 X[start : start + chunk]
             )
-        return windows, scores
+        return spans, scores
 
-    def score_log(self, lines: Iterable[str]) -> Tuple[List[Window], np.ndarray]:
+    def score_events(
+        self, events: Sequence[EventRecord]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`score_columns` of an already-parsed event sequence: a
+        deferred capture log's columns, a parse's column sidecar, or —
+        for plain record lists — columns keyed by ``(category, opcode,
+        name, frames)``."""
+        self._require_trained()
+        return self.score_columns(event_columns(events))
+
+    def score_log(self, lines: Iterable[str]) -> Tuple[np.ndarray, np.ndarray]:
         """Decision values per window (negative ⇒ malicious).
 
-        Batch fast path: parses the whole log, then
-        :meth:`score_events`.  Bit-identical to draining
-        :meth:`score_stream` (verified by tests on every complete golden
-        dataset); use the streaming path for logs that must not be
-        materialized.
+        Batch fast path: parses the whole log with its column sidecar,
+        then :meth:`score_columns`.  Bit-identical to draining
+        :meth:`score_stream`; use the streaming path for logs that must
+        not be materialized.
         """
-        if self.model is None:
-            raise NotTrainedError("pipeline has not been trained")
-        return self.score_events(self.parser.parse_lines(lines))
+        self._require_trained()
+        if isinstance(lines, EventLog):
+            return self.score_events(lines)
+        return self.score_events(
+            parse_fast(lines, policy=self.parser.policy, columns=True)
+        )
 
     def score_stream(
         self,

@@ -44,8 +44,14 @@ Stack walks are deduplicated: real fleets collapse millions of events
 onto a few hundred distinct walks, so per-event storage is nine int64
 cells regardless of stack depth, and the reader materializes each
 distinct walk tuple exactly once.  Frames come out of the parser's
-process-wide intern table, so downstream featurization memos hit on
-object identity exactly as after a text parse.
+process-wide intern table, so records built from a capture hold the
+same frame objects as after a text parse.
+
+The reader returns the validated arrays as interned columns
+(:class:`~repro.etw.events.EventColumns`) plus the per-capture walk
+table; batch scans score those directly.  ``Capture.events`` is a
+deferred :class:`~repro.etw.events.EventLog` whose records are built on
+first use, so a scan never builds them.
 
 Reading validates before trusting: schema string, id ranges, offset
 monotonicity, and vocabulary strings free of raw-log delimiters.  A
@@ -65,7 +71,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.etw.events import EventLog, EventRecord, StackFrame
+from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
 from repro.etw.parser import intern_frame, read_log_lines
 from repro.etw.recovery import ParseReport
 
@@ -84,6 +90,13 @@ _UINT64_MAX = 2**64 - 1
 
 _VOCAB_NAMES = ("process", "category", "name", "module", "function")
 
+#: every array member except the vocabularies
+_INT_ARRAYS = (
+    "eid", "timestamp", "pid", "tid", "opcode", "process_id", "category_id",
+    "name_id", "walk_id", "frame_index", "frame_module_id",
+    "frame_function_id", "frame_address", "walk_frame_ids", "walk_offsets",
+)
+
 
 class CaptureError(RuntimeError):
     """The capture is missing, malformed, or cannot be written."""
@@ -101,11 +114,17 @@ def is_capture_path(path: Union[str, os.PathLike]) -> bool:
 @dataclass
 class Capture:
     """A loaded capture: the events, the conversion-time parse report
-    (``None`` when the writer had none), and the raw metadata document."""
+    (``None`` when the writer had none), the raw metadata document, and
+    the validated interned columns the events are built from.
+
+    ``events`` is deferred: ``len()`` answers from ``columns``, and the
+    records are built on any other first use, bit-identical to an eager
+    build."""
 
     events: EventLog
     report: Optional[ParseReport]
     meta: dict
+    columns: EventColumns
 
 
 # -- writing ----------------------------------------------------------
@@ -382,9 +401,10 @@ def _walk_tables(distinct_walks: Sequence[Tuple[StackFrame, ...]]) -> dict:
 
 
 def _arrays_from_columns(cols) -> "tuple[dict, dict]":
-    """Array assembly from the parser's :class:`EventColumns` sidecar:
-    every per-event quantity is already an id or an int list, so the
-    writer's per-event cost is five ``np.array`` conversions."""
+    """Array assembly from canonical :class:`EventColumns` (the parser's
+    sidecar, the generator's columns, or columnized records): every
+    per-event quantity is already an id or an int list, so the writer's
+    per-event cost is five ``np.array`` conversions."""
     walk_arrays = _walk_tables(cols.walks)
     arrays = {
         "eid": _int_column_vec("eid", cols.eid),
@@ -418,76 +438,6 @@ def _arrays_from_columns(cols) -> "tuple[dict, dict]":
     return arrays, vocabs, counts
 
 
-def _factorize(values: Sequence) -> "tuple[np.ndarray, list]":
-    """(id array, distinct values in first-appearance order) — the bulk
-    equivalent of the naive writer's per-event ``vocab_id``.
-    ``dict.fromkeys`` preserves first-appearance order in one C pass."""
-    table = {value: index for index, value in enumerate(dict.fromkeys(values))}
-    ids = np.fromiter(
-        map(table.__getitem__, values), np.int64, count=len(values)
-    )
-    return ids, list(table)
-
-
-def _arrays_from_events(events: Sequence[EventRecord]) -> "tuple[dict, dict]":
-    """Generic bulk assembly for arbitrary event sequences (no parser
-    sidecar): column extraction by comprehension, vocabularies by bulk
-    first-appearance interning, walk dedup with an identity pre-pass
-    (interned walks collapse by ``id()`` before any tuple is hashed)."""
-    n = len(events)
-    walks = [event.frames for event in events]
-    # identity pre-pass: first-appearance-ordered distinct *objects*
-    uniq = dict(zip(map(id, walks), walks))
-    # equality dedup over the (few) identity-distinct walks; two equal
-    # but distinct tuples must still collapse to one walk id, exactly
-    # as in the naive writer's equality-keyed table
-    walk_table: dict = {}
-    distinct_walks: List[Tuple[StackFrame, ...]] = []
-    idmap: dict = {}
-    for key, walk in uniq.items():
-        index = walk_table.get(walk)
-        if index is None:
-            index = len(distinct_walks)
-            walk_table[walk] = index
-            distinct_walks.append(walk)
-        idmap[key] = index
-    walk_id = np.fromiter(map(idmap.__getitem__, map(id, walks)), np.int64, n)
-    walk_arrays = _walk_tables(distinct_walks)
-    process_id, process_vocab = _factorize([e.process for e in events])
-    category_id, category_vocab = _factorize([e.category for e in events])
-    name_id, name_vocab = _factorize([e.name for e in events])
-    arrays = {
-        "eid": _int_column_vec("eid", [e.eid for e in events]),
-        "timestamp": _int_column_vec("timestamp", [e.timestamp for e in events]),
-        "pid": _int_column_vec("pid", [e.pid for e in events]),
-        "tid": _int_column_vec("tid", [e.tid for e in events]),
-        "opcode": _int_column_vec("opcode", [e.opcode for e in events]),
-        "process_id": process_id,
-        "category_id": category_id,
-        "name_id": name_id,
-        "walk_id": walk_id,
-        "frame_index": walk_arrays["frame_index"],
-        "frame_module_id": walk_arrays["frame_module_id"],
-        "frame_function_id": walk_arrays["frame_function_id"],
-        "frame_address": walk_arrays["frame_address"],
-        "walk_frame_ids": walk_arrays["walk_frame_ids"],
-        "walk_offsets": walk_arrays["walk_offsets"],
-    }
-    vocabs = {
-        "process": process_vocab,
-        "category": category_vocab,
-        "name": name_vocab,
-        "module": walk_arrays["module_vocab"],
-        "function": walk_arrays["function_vocab"],
-    }
-    counts = {
-        "events": n,
-        "frames": len(walk_arrays["frame_index"]),
-        "walks": len(distinct_walks),
-    }
-    return arrays, vocabs, counts
-
-
 def write_capture(
     path: Union[str, os.PathLike],
     events: Sequence[EventRecord],
@@ -506,14 +456,13 @@ def write_capture(
     :class:`~repro.etw.events.EventColumns` sidecar
     (``parse_fast(..., columns=True)``, as :func:`convert_log` uses),
     array assembly skips per-event attribute access entirely; arbitrary
-    event sequences take the generic bulk path.
+    event sequences are columnized first (:meth:`EventColumns.from_records`).
     """
     path = Path(os.fspath(path))
     cols = getattr(events, "columns", None)
-    if cols is not None and cols.n_events == len(events):
-        arrays, vocabs, counts = _arrays_from_columns(cols)
-    else:
-        arrays, vocabs, counts = _arrays_from_events(events)
+    if cols is None or cols.n_events != len(events):
+        cols = EventColumns.from_records(events)
+    arrays, vocabs, counts = _arrays_from_columns(cols)
     return _finalize_capture(path, arrays, vocabs, counts, report, source)
 
 
@@ -587,8 +536,11 @@ def _require(condition: bool, message: str) -> None:
 
 
 def load_capture(path: Union[str, os.PathLike]) -> Capture:
-    """Load and validate a capture; returns events bit-identical to the
-    parse that was converted (same interned frames, same report)."""
+    """Load and validate a capture; its events are bit-identical to the
+    parse that was converted (same interned frames, same report).
+
+    Every array is checked before it is trusted; the records themselves
+    are only built when ``Capture.events`` is first used."""
     path = Path(os.fspath(path))
     json_path = path / JSON_NAME
     npz_path = path / NPZ_NAME
@@ -635,6 +587,11 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
     except KeyError as error:
         raise CaptureError(f"capture is missing array {error}") from error
 
+    for name in _INT_ARRAYS:
+        _require(
+            arrays[name].ndim == 1 and arrays[name].dtype.kind in "iu",
+            f"array {name} must be a 1-d integer array",
+        )
     n_events = len(eid)
     n_frames = len(frame_index)
     n_walks = len(walk_offsets) - 1
@@ -688,39 +645,65 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
                     "delimiter"
                 )
 
-    # The hot path: pure C-driven loops over Python ints and interned
-    # objects.  Pause generational GC as in the vectorized text parser —
-    # the transient containers otherwise trigger rescans costing more
-    # than the reconstruction itself.
+    modules = vocab["module"]
+    functions = vocab["function"]
+    frames: List[StackFrame] = [
+        intern_frame(index, modules[module], functions[function], address)
+        for index, module, function, address in zip(
+            frame_index.tolist(),
+            frame_module_id.tolist(),
+            frame_function_id.tolist(),
+            frame_address.tolist(),
+        )
+    ]
+    flat = walk_frame_ids.tolist()
+    columns = EventColumns()
+    columns.n_events = n_events
+    columns.eid = eid
+    columns.timestamp = timestamp
+    columns.pid = pid
+    columns.tid = tid
+    columns.opcode = opcode
+    columns.process_id = process_id
+    columns.category_id = category_id
+    columns.name_id = name_id
+    columns.walk_id = walk_id
+    columns.process_vocab = vocab["process"]
+    columns.category_vocab = vocab["category"]
+    columns.name_vocab = vocab["name"]
+    columns.walks = [
+        tuple(frames[frame_id] for frame_id in flat[start:stop])
+        for start, stop in zip(offsets, offsets[1:])
+    ]
+
+    report_doc = meta.get("parse_report")
+    report = None if report_doc is None else ParseReport.from_dict(report_doc)
+    events = EventLog.deferred(
+        columns, _capture_records, report=report, source=os.fspath(path)
+    )
+    return Capture(events=events, report=report, meta=meta, columns=columns)
+
+
+def _capture_records(columns: EventColumns) -> List[EventRecord]:
+    """The records of a loaded capture's columns, in event order."""
+    # Pure C-driven loops over Python ints and interned objects.  Pause
+    # generational GC as in the vectorized text parser — the transient
+    # containers otherwise trigger rescans costing more than the
+    # reconstruction itself.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        modules = vocab["module"]
-        functions = vocab["function"]
-        frames: List[StackFrame] = [
-            intern_frame(index, modules[module], functions[function], address)
-            for index, module, function, address in zip(
-                frame_index.tolist(),
-                frame_module_id.tolist(),
-                frame_function_id.tolist(),
-                frame_address.tolist(),
-            )
-        ]
-        flat = walk_frame_ids.tolist()
-        walks: List[Tuple[StackFrame, ...]] = [
-            tuple(frames[frame_id] for frame_id in flat[start:stop])
-            for start, stop in zip(offsets, offsets[1:])
-        ]
-        processes = vocab["process"]
-        categories = vocab["category"]
-        names = vocab["name"]
-        events = EventLog()
+        walks = columns.walks
+        processes = columns.process_vocab
+        categories = columns.category_vocab
+        names = columns.name_vocab
+        events: List[EventRecord] = []
         append = events.append
         new = EventRecord.__new__
-        # Vocab strings are validated delimiter-free above and integer
-        # fields are exact int64 round-trips, so __init__ can be
-        # bypassed exactly as in the vectorized text parser.
+        # Vocab strings are validated delimiter-free and integer fields
+        # are exact int64 round-trips, so __init__ can be bypassed
+        # exactly as in the vectorized text parser.
         for (
             event_eid,
             event_timestamp,
@@ -732,15 +715,15 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
             event_name,
             event_walk,
         ) in zip(
-            eid.tolist(),
-            timestamp.tolist(),
-            pid.tolist(),
-            process_id.tolist(),
-            tid.tolist(),
-            category_id.tolist(),
-            opcode.tolist(),
-            name_id.tolist(),
-            walk_id.tolist(),
+            columns.eid.tolist(),
+            columns.timestamp.tolist(),
+            columns.pid.tolist(),
+            columns.process_id.tolist(),
+            columns.tid.tolist(),
+            columns.category_id.tolist(),
+            columns.opcode.tolist(),
+            columns.name_id.tolist(),
+            columns.walk_id.tolist(),
         ):
             record = new(EventRecord)
             record.eid = event_eid
@@ -756,12 +739,7 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
     finally:
         if gc_was_enabled:
             gc.enable()
-
-    report_doc = meta.get("parse_report")
-    report = None if report_doc is None else ParseReport.from_dict(report_doc)
-    events.report = report
-    events.source = os.fspath(path)
-    return Capture(events=events, report=report, meta=meta)
+    return events
 
 
 def read_capture(

@@ -8,8 +8,20 @@ the kernel routine that raised the event.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.etw.recovery import ParseReport
@@ -103,22 +115,31 @@ class EventRecord:
 
 
 class EventColumns:
-    """Columnar view of a parsed event list — the capture writer's fast
-    input (DESIGN.md §12).
+    """Columnar view of a parsed event list: the interned form that the
+    capture writer and the batch scorer read (DESIGN.md §9, §11).
 
-    The vectorized text parser builds these alongside the records for
-    the price of a few dict lookups per event; the capture writer then
-    assembles its arrays from the columns without ever touching the
-    records again.  Invariants (the parser guarantees them, the writer
-    relies on them):
+    Producers:
 
-    * every ``*_id`` column indexes its vocabulary, and vocabularies
-      list distinct values in first-appearance order over the events;
-    * ``walks`` lists the distinct walk tuples in first-appearance
-      order, and every event whose walk repeats an earlier one shares
-      the *same* tuple object (walks are interned per parse);
-    * all lists are exactly ``n_events`` long (except the vocabularies
-      and ``walks``, which hold distinct values only).
+    * the vectorized text parser (``parse_fast(..., columns=True)``)
+      builds it alongside the records as Python lists, for the price of
+      a few dict lookups per event;
+    * the generation fast path (``fastgen.to_event_columns``) builds it
+      without any records;
+    * :meth:`from_records` columnizes any record list;
+    * :func:`~repro.etw.capture.load_capture` returns the validated
+      capture arrays (int64 ndarrays) with a per-capture walk table.
+
+    Every producer guarantees that each ``*_id`` column indexes its
+    vocabulary, ``walk_id`` indexes ``walks``, and all per-event columns
+    are exactly ``n_events`` long.  The batch scorer
+    (``LeapsPipeline.score_columns``) needs no more than that.
+
+    All but the capture reader also guarantee what the capture writer
+    relies on: vocabularies list distinct values in first-appearance
+    order over the events, ``walks`` lists the distinct walk tuples in
+    first-appearance order, and every event whose walk repeats an
+    earlier one shares the *same* tuple object.  A loaded capture only
+    promises what its file holds, so it is never a writer's input.
     """
 
     __slots__ = (
@@ -145,6 +166,76 @@ class EventColumns:
         self.name_vocab: list = []
         self.walks: list = []
 
+    @classmethod
+    def from_records(cls, events: Sequence[EventRecord]) -> "EventColumns":
+        """The columns of a record list, with the parser's guarantees
+        (first-appearance vocabularies, equality-distinct walks) — for
+        records that carry no sidecar."""
+        cols = cls()
+        cols.n_events = len(events)
+        cols.eid = [event.eid for event in events]
+        cols.timestamp = [event.timestamp for event in events]
+        cols.pid = [event.pid for event in events]
+        cols.tid = [event.tid for event in events]
+        cols.opcode = [event.opcode for event in events]
+        cols.process_id, cols.process_vocab = first_appearance_ids(
+            [event.process for event in events]
+        )
+        cols.category_id, cols.category_vocab = first_appearance_ids(
+            [event.category for event in events]
+        )
+        cols.name_id, cols.name_vocab = first_appearance_ids(
+            [event.name for event in events]
+        )
+        cols.walk_id, cols.walks = _walk_ids([event.frames for event in events])
+        return cols
+
+
+def first_appearance_ids(values: list) -> Tuple[np.ndarray, list]:
+    """(id per value, distinct values in first-appearance order);
+    ``dict.fromkeys`` keeps first-appearance order in one C pass."""
+    table = {value: index for index, value in enumerate(dict.fromkeys(values))}
+    ids = np.fromiter(map(table.__getitem__, values), np.int64, count=len(values))
+    return ids, list(table)
+
+
+def _walk_ids(walks: list) -> Tuple[np.ndarray, list]:
+    """:func:`first_appearance_ids` for walk tuples, with an identity
+    pre-pass: interned walks collapse by ``id()`` before any tuple is
+    hashed, then equal but distinct tuples still collapse to one id."""
+    uniq = dict(zip(map(id, walks), walks))
+    table: dict = {}
+    distinct: list = []
+    by_identity: dict = {}
+    for key, walk in uniq.items():
+        index = table.get(walk)
+        if index is None:
+            index = len(distinct)
+            table[walk] = index
+            distinct.append(walk)
+        by_identity[key] = index
+    ids = np.fromiter(
+        map(by_identity.__getitem__, map(id, walks)), np.int64, count=len(walks)
+    )
+    return ids, distinct
+
+
+def int_column(values) -> np.ndarray:
+    """An exact 1-d integer array of ``values`` (a list of ints or an
+    integer ndarray): int64 where every value fits, else an object array
+    of Python ints.  Text-parsed fields are unbounded Python ints, and
+    numpy would silently round a mix beyond int64 to float64."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return values
+        if np.can_cast(values.dtype, np.int64):
+            return values.astype(np.int64)
+        return np.array(values.tolist(), dtype=object)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
 
 class EventLog(list):
     """A list of already-parsed :class:`EventRecord` objects.
@@ -161,11 +252,16 @@ class EventLog(list):
     logs) — fleet scans use it to ship a *path* to pool workers instead
     of pickling the whole event list.  ``columns`` optionally carries
     the parser's :class:`EventColumns` sidecar; it is only valid while
-    the log is unmodified, so every mutation drops it (length-changing
-    mutations are additionally caught by the consumer's length check).
+    the log is unmodified, so every mutation drops it.
+
+    A *deferred* log (:meth:`deferred`) holds interned columns instead
+    of records: ``len()`` answers from the columns, and any other list
+    operation builds the records first, after which the log is a plain
+    ``EventLog``.  Until then :attr:`unbuilt_columns` exposes the
+    columns, so a batch scan never builds the records at all.
     """
 
-    __slots__ = ("report", "source", "columns")
+    __slots__ = ("report", "source", "columns", "_deferred")
 
     def __init__(
         self,
@@ -177,6 +273,29 @@ class EventLog(list):
         self.report = report
         self.source = source
         self.columns: Optional[EventColumns] = None
+        self._deferred: Optional[
+            Tuple[EventColumns, Callable[[EventColumns], List[EventRecord]]]
+        ] = None
+
+    @classmethod
+    def deferred(
+        cls,
+        columns: EventColumns,
+        build: Callable[[EventColumns], List[EventRecord]],
+        report: Optional["ParseReport"] = None,
+        source: Optional[str] = None,
+    ) -> "EventLog":
+        """A log whose records ``build(columns)`` makes on first use."""
+        log = _DeferredEventLog((), report, source)
+        log._deferred = (columns, build)
+        return log
+
+    @property
+    def unbuilt_columns(self) -> Optional[EventColumns]:
+        """The columns of a deferred log whose records are not built
+        yet; ``None`` otherwise."""
+        deferred = self._deferred
+        return None if deferred is None else deferred[0]
 
     def __reduce__(self):
         # list subclass with __slots__: default pickling would drop
@@ -184,17 +303,84 @@ class EventLog(list):
         # The columns sidecar is deliberately not shipped.
         return (type(self), (list(self), self.report, self.source))
 
-    # Length-preserving mutations would silently desynchronize the
-    # columnar sidecar; drop it.  (Length-changing mutations are caught
-    # by the consumer comparing len(self) to columns.n_events.)
-    def __setitem__(self, index, value):
-        self.columns = None
-        super().__setitem__(index, value)
 
-    def sort(self, *args, **kwargs):
-        self.columns = None
-        super().sort(*args, **kwargs)
+def _dropping_columns(name: str):
+    method = getattr(list, name)
 
-    def reverse(self):
+    def mutate(self, *args, **kwargs):
         self.columns = None
-        super().reverse()
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = name
+    return mutate
+
+
+# Every mutation would silently desynchronize the columnar sidecar, so
+# each one drops it.
+for _name in (
+    "__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+    "insert", "pop", "remove", "clear", "sort", "reverse",
+):
+    setattr(EventLog, _name, _dropping_columns(_name))
+
+
+#: Serializes record builds, so threads sharing one deferred log build
+#: it once.
+_BUILD_LOCK = threading.Lock()
+
+
+class _DeferredEventLog(EventLog):
+    """:meth:`EventLog.deferred`'s type until the records exist; then
+    the instance switches to plain :class:`EventLog` (same layout)."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        deferred = self._deferred
+        if deferred is None:  # built by another thread mid-call
+            return list.__len__(self)
+        return deferred[0].n_events
+
+    def _build(self) -> None:
+        with _BUILD_LOCK:
+            deferred = self._deferred
+            if deferred is not None:
+                columns, build = deferred
+                list.extend(self, build(columns))
+                self._deferred = None
+                self.__class__ = EventLog
+
+
+def _building(name: str):
+    method = getattr(EventLog, name)
+
+    def built_first(self, *args, **kwargs):
+        # list's C methods read operands' storage directly: build every
+        # deferred operand, not just self
+        for value in (self, *args):
+            if isinstance(value, _DeferredEventLog):
+                value._build()
+        return method(self, *args, **kwargs)
+
+    built_first.__name__ = name
+    return built_first
+
+
+for _name in (
+    "__iter__", "__reversed__", "__getitem__", "__setitem__", "__delitem__",
+    "__contains__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__",
+    "__ge__", "__add__", "__iadd__", "__mul__", "__rmul__", "__imul__",
+    "__repr__", "__reduce__", "append", "extend", "insert", "pop",
+    "remove", "index", "count", "copy", "clear", "sort", "reverse",
+):
+    setattr(_DeferredEventLog, _name, _building(_name))
+
+
+def _deferred_radd(self, other):
+    # ``plain_list + deferred``: list's concat would read the unbuilt
+    # storage, so this reflected add runs first and builds
+    self._build()
+    return other + self
+
+
+_DeferredEventLog.__radd__ = _deferred_radd

@@ -44,7 +44,13 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
+from repro.etw.events import (
+    EventColumns,
+    EventLog,
+    EventRecord,
+    StackFrame,
+    first_appearance_ids,
+)
 from repro.etw.parser import (
     PARSE_POLICIES,
     LogLine,
@@ -329,31 +335,31 @@ def _build_with_columns(
 ) -> EventLog:
     """The record build loop with the :class:`EventColumns` sidecar:
     identical records (same bypassed-``__init__`` construction), plus
-    per-event vocabulary ids and interned walk tuples assembled while
-    the loop already holds every field.  Repeated walks share one tuple
-    object — the interning that makes the capture writer's id-based
-    dedup an O(1)-per-event dict hit instead of a per-frame hash."""
+    interned walk tuples assembled while the loop already holds every
+    field, and the vocabulary ids of the string columns.  Repeated walks
+    share one tuple object — the interning that makes the capture
+    writer's id-based dedup an O(1)-per-event dict hit instead of a
+    per-frame hash."""
     cols = EventColumns()
     cols.eid = eids
     cols.timestamp = timestamps
     cols.pid = pids
     cols.tid = tids
     cols.opcode = opcodes
-    process_ids = cols.process_id
-    category_ids = cols.category_id
-    name_ids = cols.name_id
-    walk_ids = cols.walk_id
+    cols.process_id, cols.process_vocab = first_appearance_ids(ecols[4])
+    cols.category_id, cols.category_vocab = first_appearance_ids(ecols[6])
+    cols.name_id, cols.name_vocab = first_appearance_ids(ecols[8])
     walks = cols.walks
-    ptable: dict = {}
-    ctable: dict = {}
-    ntable: dict = {}
     wtable: dict = {}
-    add_pid = process_ids.append
-    add_cid = category_ids.append
-    add_nid = name_ids.append
-    add_wid = walk_ids.append
-    events = EventLog()
-    append = events.append
+    # Walks are looked up by the identities of their interned frames —
+    # a tuple of ints hashes in C, where a tuple of frames calls
+    # StackFrame.__hash__ per frame — and only a new identity tuple is
+    # checked against the equality-keyed table.
+    frame_ids = list(map(id, frames))
+    id_table: dict = {}
+    add_wid = cols.walk_id.append
+    records: List[EventRecord] = []
+    append = records.append
     new = EventRecord.__new__
     for index, (eid, timestamp, pid, process, tid, category, opcode, name) in (
         enumerate(
@@ -372,36 +378,22 @@ def _build_with_columns(
         record.category = category
         record.opcode = opcode
         record.name = name
-        walk = tuple(frames[offsets[index] : offsets[index + 1]])
-        walk_index = wtable.get(walk)
+        start, stop = offsets[index], offsets[index + 1]
+        key = tuple(frame_ids[start:stop])
+        walk_index = id_table.get(key)
         if walk_index is None:
-            walk_index = len(walks)
-            wtable[walk] = walk_index
-            walks.append(walk)
-        else:
-            walk = walks[walk_index]
-        record.frames = walk
+            walk = tuple(frames[start:stop])
+            walk_index = wtable.get(walk)
+            if walk_index is None:
+                walk_index = len(walks)
+                wtable[walk] = walk_index
+                walks.append(walk)
+            id_table[key] = walk_index
+        record.frames = walks[walk_index]
         append(record)
-        value = ptable.get(process)
-        if value is None:
-            value = len(ptable)
-            ptable[process] = value
-        add_pid(value)
-        value = ctable.get(category)
-        if value is None:
-            value = len(ctable)
-            ctable[category] = value
-        add_cid(value)
-        value = ntable.get(name)
-        if value is None:
-            value = len(ntable)
-            ntable[name] = value
-        add_nid(value)
         add_wid(walk_index)
+    events = EventLog(records)
     cols.n_events = len(events)
-    cols.process_vocab = list(ptable)
-    cols.category_vocab = list(ctable)
-    cols.name_vocab = list(ntable)
     events.columns = cols
     return events
 

@@ -14,28 +14,32 @@ Each event is reduced to a numeric 3-tuple (paper §III-B / Fig. 2):
   stable.
 
 Ids are assigned by first-appearance order during :meth:`fit`, which
-makes featurization deterministic for a fixed training corpus.  (The
-full UPGMA clustering of the paper's Figure 2 collapses *similar* —
-rather than identical — attributes to one id; that refinement lands
-with ``repro.preprocessing.clustering``.)
+makes featurization deterministic for a fixed training corpus.  The
+paper's Figure 2 collapses *similar* attributes to one id by UPGMA
+clustering; that refinement is not built, so only identical attributes
+share an id.
 
-Scan fast path: production logs are highly repetitive — thousands of
-events collapse to a few dozen distinct ``(etype, app-path,
-system-path)`` attribute triples — so once the vocabularies are frozen,
-resolved id rows are memoized per triple.  :meth:`transform` fills one
-preallocated ``(n, 3)`` array through that memo, and
-:meth:`transform_event` returns a cached read-only row, so streaming
-scans stop re-resolving identical stacks.  Cached or not, the emitted
-values are bit-identical to the uncached lookups.
+Column scorer: an event's features are a pure function of its key
+``(category, opcode, name, walk)``, and production logs are highly
+repetitive — a 5k-event host holds a few dozen distinct keys.
+:meth:`EventFeaturizer.transform_columns` takes the interned columns of
+a log (:class:`~repro.etw.events.EventColumns`), factorizes the four key
+columns exactly, featurizes one :class:`EventKey` per distinct key
+through :meth:`~EventFeaturizer.transform`, and gathers the ``(n, 3)``
+matrix with the inverse index.  Rows are bit-identical to featurizing
+every record: the same vocabulary lookups, stored into the same float64
+cells.  :meth:`~EventFeaturizer.transform` itself memoizes resolved ids
+per key, and :meth:`~EventFeaturizer.transform_event` returns a cached
+read-only row for the streaming scan.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.etw.events import EventRecord
+from repro.etw.events import EventColumns, EventRecord, StackFrame, int_column
 from repro.etw.stack_partition import StackPartitioner
 
 #: Reserved id for attribute values never seen during training.
@@ -43,6 +47,55 @@ UNKNOWN_ID = 0
 
 #: One event's attribute triple: (etype, app signature, system signature).
 AttributeTriple = Tuple[Hashable, Hashable, Hashable]
+
+
+class EventKey(NamedTuple):
+    """The fields an event's features depend on; featurizes exactly as
+    any record that shares them."""
+
+    category: str
+    opcode: int
+    name: str
+    frames: Tuple[StackFrame, ...]
+
+    @property
+    def etype(self) -> Tuple[str, int, str]:
+        return (self.category, self.opcode, self.name)
+
+
+def distinct_keys(key_columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact factorization of equal-length integer key columns:
+    ``(inverse, first)``, where event ``i`` holds distinct key
+    ``inverse[i]`` and ``first[k]`` is the first event holding key ``k``.
+
+    Each column becomes codes below ``n``: its offset from the minimum
+    when the column spans fewer than ``n`` values (interned ids do),
+    else its ``np.unique`` inverse.  The codes are combined column by
+    column into one int64 code; whenever the next combination could
+    pass 2**62 the running code is first re-densified below ``n``, so
+    no combination ever exceeds ``n**2`` whatever the opcode range.
+    One ``np.unique`` over the combined code then finds the keys."""
+    n = len(key_columns[0])
+    if not n:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty
+    combined = np.zeros(n, dtype=np.int64)
+    bound = 1  # combined < bound
+    for column in key_columns:
+        low, high = int(column.min()), int(column.max())
+        if high - low < n:
+            codes = (column - low).astype(np.int64)
+            radix = high - low + 1
+        else:
+            codes = np.unique(column, return_inverse=True)[1]
+            radix = int(codes.max()) + 1
+        if bound * radix > 2**62:
+            combined = np.unique(combined, return_inverse=True)[1]
+            bound = int(combined.max()) + 1
+        combined = combined * radix + codes
+        bound *= radix
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
+    return inverse, first
 
 
 class Vocabulary:
@@ -176,6 +229,33 @@ class EventFeaturizer:
         if rows:
             out[:] = rows
         return out
+
+    def transform_columns(self, columns: EventColumns) -> np.ndarray:
+        """:meth:`transform` of a whole log from its interned columns:
+        each distinct ``(category, opcode, name, walk)`` key is
+        featurized once, then gathered per event."""
+        if not self.fitted:
+            raise RuntimeError("EventFeaturizer.transform before fit")
+        key_columns = [
+            int_column(column)
+            for column in (
+                columns.category_id,
+                columns.opcode,
+                columns.name_id,
+                columns.walk_id,
+            )
+        ]
+        inverse, first = distinct_keys(key_columns)
+        categories = columns.category_vocab
+        names = columns.name_vocab
+        walks = columns.walks
+        keys = [
+            EventKey(categories[category], opcode, names[name], walks[walk])
+            for category, opcode, name, walk in zip(
+                *(column[first].tolist() for column in key_columns)
+            )
+        ]
+        return self.transform(keys)[inverse]
 
     def fit_transform(self, events: Sequence[EventRecord]) -> np.ndarray:
         self.fit(events)

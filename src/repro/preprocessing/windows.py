@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.etw.events import EventRecord
+from repro.etw.events import EventRecord, int_column
 
 
 @dataclass(frozen=True)
@@ -58,33 +58,35 @@ class WindowCoalescer:
         return rows.reshape(len(starts), -1)
 
     def coalesce_with_matrix(
-        self, features: np.ndarray, events: Sequence[EventRecord]
-    ) -> Tuple[List[Window], np.ndarray]:
-        """:meth:`coalesce` plus the stacked ``(m, 3*window)`` sample
-        matrix, built in one pass — each ``Window.vector`` is a row view
-        of the returned matrix."""
-        if len(features) != len(events):
-            raise ValueError("features/events length mismatch")
-        starts = np.asarray(self._starts(len(events)), dtype=np.intp)
+        self, features: np.ndarray, eids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every window of a log by index arithmetic: the ``(m, 3)``
+        integer array of ``(start_index, start_eid, end_eid)`` rows and
+        the stacked ``(m, 3*window)`` sample matrix, from the per-event
+        ``(n, 3)`` features and the ``n`` event ids."""
+        if len(features) != len(eids):
+            raise ValueError("features/eids length mismatch")
+        ids = int_column(eids)
+        starts = np.asarray(self._starts(len(ids)), dtype=np.intp)
         if not len(starts):
-            return [], np.zeros((0, self.dims))
-        matrix = self._gather(features, starts)
-        last = self.window_events - 1
-        windows = [
-            Window(
-                start_index=int(start),
-                start_eid=events[start].eid,
-                end_eid=events[start + last].eid,
-                vector=matrix[position],
-            )
-            for position, start in enumerate(starts)
-        ]
-        return windows, matrix
+            return np.zeros((0, 3), dtype=ids.dtype), np.zeros((0, self.dims))
+        spans = np.stack(
+            [starts, ids[starts], ids[starts + self.window_events - 1]], axis=1
+        )
+        return spans, self._gather(features, starts)
 
     def coalesce(
         self, features: np.ndarray, events: Sequence[EventRecord]
     ) -> List[Window]:
-        return self.coalesce_with_matrix(features, events)[0]
+        """:meth:`coalesce_with_matrix` as :class:`Window` objects, each
+        ``vector`` a row view of the sample matrix."""
+        spans, matrix = self.coalesce_with_matrix(
+            features, [event.eid for event in events]
+        )
+        return [
+            Window(start_index=start, start_eid=first, end_eid=last, vector=row)
+            for (start, first, last), row in zip(spans.tolist(), matrix)
+        ]
 
     def push_coalescer(self) -> "PushCoalescer":
         """A fresh push-mode coalescer carrying this coalescer's geometry
