@@ -36,6 +36,7 @@ import os
 import platform
 import tempfile
 import time
+from collections import deque
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Tuple
@@ -89,7 +90,8 @@ def best_of(repeats: int, fn) -> float:
 # measured against true pre-PR cost: every event partitioned twice
 # (app_path, then system_path) through unmemoized per-frame module
 # checks, a fresh np.array per event row, np.concatenate per window in
-# iter_coalesce, and a per-chunk kernel call that recomputes the
+# _iter_coalesce (its own copy of the per-event coalescer the product
+# no longer has), and a per-chunk kernel call that recomputes the
 # support-vector norms.  Its detections are bit-identical to the fast
 # path's — asserted below on every log.
 
@@ -107,6 +109,23 @@ def _naive_partition(frames) -> Tuple[tuple, tuple]:
                 f"system frame at index {frame.index}"
             )
     return app, system
+
+
+def _iter_coalesce(pairs, window_events: int, stride: int):
+    """The historical per-event coalescer: a deque of the last
+    ``window_events`` ``(event, row)`` pairs and one ``np.concatenate``
+    per window; yields ``(start_index, start_eid, end_eid, vector)``."""
+    buffer: deque = deque(maxlen=window_events)
+    for count, (event, row) in enumerate(pairs, start=1):
+        buffer.append((event, row))
+        start = count - window_events
+        if start >= 0 and start % stride == 0:
+            yield (
+                start,
+                buffer[0][0].eid,
+                event.eid,
+                np.concatenate([pair[1] for pair in buffer]),
+            )
 
 
 def naive_scan(pipeline, events: List[EventRecord]) -> List[WindowDetection]:
@@ -130,9 +149,7 @@ def naive_scan(pipeline, events: List[EventRecord]) -> List[WindowDetection]:
         )
 
     def score_chunk(pending) -> np.ndarray:
-        X = standardizer.transform(
-            np.stack([window.vector for window in pending])
-        )
+        X = standardizer.transform(np.stack([window[3] for window in pending]))
         return model.kernel(X, model._sv_X) @ model._sv_coef + model.b
 
     pairs = ((event, naive_row(event)) for event in events)
@@ -140,19 +157,20 @@ def naive_scan(pipeline, events: List[EventRecord]) -> List[WindowDetection]:
     detections: List[WindowDetection] = []
 
     def flush(pending):
-        for window, score in zip(pending, score_chunk(pending)):
+        for (start, start_eid, end_eid, _), score in zip(pending, score_chunk(pending)):
             detections.append(
                 WindowDetection(
-                    index=window.start_index,
-                    start_eid=window.start_eid,
-                    end_eid=window.end_eid,
+                    index=start,
+                    start_eid=start_eid,
+                    end_eid=end_eid,
                     score=float(score),
                     malicious=bool(score < 0.0),
                 )
             )
 
     pending: list = []
-    for window in pipeline.coalescer.iter_coalesce(pairs):
+    coalescer = pipeline.coalescer
+    for window in _iter_coalesce(pairs, coalescer.window_events, coalescer.stride):
         pending.append(window)
         if len(pending) >= chunk:
             flush(pending)

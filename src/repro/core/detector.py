@@ -381,14 +381,9 @@ class LeapsDetector:
         """
         scored = self.pipeline.score_stream(lines, report=report, policy=policy)
         return (
-            WindowDetection(
-                index=window.start_index,
-                start_eid=window.start_eid,
-                end_eid=window.end_eid,
-                score=float(score),
-                malicious=bool(score < 0.0),
-            )
-            for window, score in scored
+            detection
+            for spans, scores in scored
+            for detection in detections(spans, scores)
         )
 
     @staticmethod

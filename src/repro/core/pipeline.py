@@ -27,18 +27,21 @@ time is recorded in ``TrainingReport.stage_seconds``.
 
 Scanning:  featurize a production log with the *training* vocabularies
 and score each window; negative decision values are malicious windows.
-The streaming path (:meth:`LeapsPipeline.score_stream`) consumes a raw
-line iterator with bounded memory — a deque of at most
-``window_events`` pending events inside the coalescer plus at most
-``stream_chunk_windows`` buffered windows per scoring batch — so
-whole-machine logs never need to fit in RAM; :meth:`score_log` and the
-detector's ``scan_log`` are thin wrappers that drain it.
+Every scan featurizes from interned columns and scores in
+``stream_chunk_windows``-window chunks.  The batch path
+(:meth:`LeapsPipeline.score_columns`) windows a whole log at once.  The
+streaming path (:meth:`LeapsPipeline.score_stream`, and the serve
+workers) pushes bounded blocks through a :class:`StreamChunker` — the
+windower's tail of ``window_events − 1`` rows plus one open chunk — so
+whole-machine logs never need to fit in RAM, and yields the same
+windows and scores as the batch path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,8 +50,8 @@ from repro.core.cfg_inference import CFG, CFGInferencer
 from repro.core.config import LeapsConfig
 from repro.core.weights import WeightAssessor
 from repro.etw.events import EventColumns, EventLog, EventRecord
-from repro.etw.fastparse import parse_fast
-from repro.etw.parser import RawLogParser, iter_parse
+from repro.etw.fastparse import StreamingParser, parse_fast
+from repro.etw.parser import RawLogParser
 from repro.etw.recovery import ParseReport
 from repro.etw.stack_partition import StackPartitioner
 from repro.learning.cross_validation import GridResult, grid_search_wsvm
@@ -109,6 +112,62 @@ def event_columns(events: Sequence[EventRecord]) -> EventColumns:
         if events.columns is not None and events.columns.n_events == len(events):
             return events.columns
     return EventColumns.from_records(events)
+
+
+class StreamChunker:
+    """One stream's featurize → window → chunk state, shared by
+    :meth:`LeapsPipeline.score_stream` and the serve workers.
+
+    Each pushed block of events is featurized from its columns
+    (:meth:`EventFeaturizer.transform_columns`), windowed by the
+    stream's :class:`~repro.preprocessing.windows.StreamWindower`, and
+    appended to the open chunk; every ``stream_chunk_windows`` windows
+    close a chunk.  Chunk k therefore covers windows
+    ``[k·chunk, (k+1)·chunk)`` of the stream however its events were
+    blocked — the chunks :meth:`LeapsPipeline.score_columns` scores.
+    A chunk is a ``(spans, matrix, stamps)`` tuple: ``(k, 3)`` spans,
+    the ``(k, 3*window)`` window matrix and one stamp per window.
+    """
+
+    def __init__(self, pipeline: "LeapsPipeline"):
+        self.featurizer = pipeline.featurizer
+        self.windower = pipeline.coalescer.windower()
+        self.chunk_windows = pipeline.config.stream_chunk_windows
+        self.open = (
+            np.zeros((0, 3), dtype=np.int64),
+            np.zeros((0, pipeline.coalescer.dims)),
+            np.zeros(0),
+        )
+
+    @property
+    def pending(self) -> int:
+        """Windows in the open (partial) chunk."""
+        return len(self.open[0])
+
+    def push(self, columns: EventColumns, stamp: float = 0.0) -> List[tuple]:
+        """Featurize and window one block of events; returns the chunks
+        it completed, each new window stamped with ``stamp``."""
+        if not columns.n_events:
+            return []
+        spans, matrix = self.windower.push(
+            self.featurizer.transform_columns(columns), columns.eid
+        )
+        new = (spans, matrix, np.full(len(spans), stamp))
+        arrays = [np.concatenate(pair) for pair in zip(self.open, new)]
+        chunk = self.chunk_windows
+        cut = len(spans) + self.pending
+        cut -= cut % chunk
+        self.open = tuple(array[cut:].copy() for array in arrays)
+        return [
+            tuple(array[low : low + chunk] for array in arrays)
+            for low in range(0, cut, chunk)
+        ]
+
+    def close(self) -> List[tuple]:
+        """End of stream: the open partial chunk, if any."""
+        chunks = [self.open] if self.pending else []
+        self.open = tuple(array[:0] for array in self.open)
+        return chunks
 
 
 class LeapsPipeline:
@@ -201,14 +260,13 @@ class LeapsPipeline:
         self.featurizer = EventFeaturizer(self.partitioner).fit(
             *benign_event_logs, *mixed_event_logs
         )
-        benign_blocks = [
-            self.coalescer.coalesce_matrix(self.featurizer.transform(events))
-            for events in benign_event_logs
-        ]
-        mixed_blocks = [
-            self.coalescer.coalesce_matrix(self.featurizer.transform(events))
-            for events in mixed_event_logs
-        ]
+
+        def window_matrix(events):
+            features = self.featurizer.transform_columns(event_columns(events))
+            return self.coalescer.coalesce_matrix(features)
+
+        benign_blocks = [window_matrix(events) for events in benign_event_logs]
+        mixed_blocks = [window_matrix(events) for events in mixed_event_logs]
         n_benign_windows = sum(len(block) for block in benign_blocks)
         n_mixed_windows = sum(len(block) for block in mixed_blocks)
         if not n_benign_windows or not n_mixed_windows:
@@ -411,48 +469,36 @@ class LeapsPipeline:
         lines: Iterable[str],
         report: Optional[ParseReport] = None,
         policy: Optional[str] = None,
-    ) -> Iterator[Tuple[Window, float]]:
-        """Stream ``(window, decision_value)`` pairs off a raw-log line
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Stream per-chunk ``(spans, scores)`` off a raw-log line
         iterator with bounded memory.
 
-        Events are parsed, featurized, and coalesced incrementally (the
-        coalescer holds at most ``window_events`` pending events); at
-        most ``stream_chunk_windows`` completed windows are buffered
-        before each batched kernel evaluation.  ``report``/``policy``
-        expose the recovering-ingestion knobs; the default policy is the
-        config's ``parse_policy``.
+        Lines are parsed by a :class:`~repro.etw.fastparse.StreamingParser`
+        in blocks of ``stream_chunk_windows × stride`` lines, and each
+        block's events go through one :class:`StreamChunker`; a chunk
+        is scored as soon as it closes.  Memory holds one line block,
+        the windower's tail of ``window_events − 1`` rows, and one open
+        chunk.  The spans and scores equal :meth:`score_log`'s.
+        ``report``/``policy`` expose the recovering-ingestion knobs; the
+        default policy is the config's ``parse_policy``.
         """
-        if self.model is None:
-            raise NotTrainedError("pipeline has not been trained")
-        if self.featurizer is None or self.standardizer is None:
-            raise NotTrainedError("pipeline has not been trained")
-        return self._score_stream(lines, report, policy or self.parser.policy)
+        self._require_trained()
+        parser = StreamingParser(policy=policy or self.parser.policy, report=report)
+        chunker = StreamChunker(self)
+        block = self.config.stream_chunk_windows * self.config.stride
 
-    def _score_stream(
-        self,
-        lines: Iterable[str],
-        report: Optional[ParseReport],
-        policy: str,
-    ) -> Iterator[Tuple[Window, float]]:
-        events = iter_parse(lines, policy=policy, report=report)
-        pairs = (
-            (event, self.featurizer.transform_event(event)) for event in events
-        )
-        chunk = self.config.stream_chunk_windows
-        pending: List[Window] = []
-        for window in self.coalescer.iter_coalesce(pairs):
-            pending.append(window)
-            if len(pending) >= chunk:
-                yield from self._score_windows(pending)
-                pending = []
-        if pending:
-            yield from self._score_windows(pending)
+        def chunks() -> Iterator[tuple]:
+            source = iter(lines)
+            while True:
+                piece = [
+                    line.rstrip("\n") if isinstance(line, str) else line
+                    for line in islice(source, block)
+                ]
+                if not piece:
+                    break
+                yield from chunker.push(event_columns(parser.feed_lines(piece)))
+            yield from chunker.push(event_columns(parser.finish()))
+            yield from chunker.close()
 
-    def _score_windows(
-        self, windows: List[Window]
-    ) -> Iterator[Tuple[Window, float]]:
-        matrix = self.standardizer.transform(
-            np.stack([window.vector for window in windows])
-        )
-        scores = self.model.decision_function(matrix)
-        return zip(windows, scores)
+        scale, score = self.standardizer.transform, self.model.decision_function
+        return ((spans, score(scale(matrix))) for spans, matrix, _ in chunks())

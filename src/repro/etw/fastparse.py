@@ -454,9 +454,11 @@ class StreamingParser:
     arbitrary chunks, get completed events back, bit-identically to one
     scalar parse of the whole stream.
 
-    The serving workers keep one of these per connected stream.  Clean
-    input goes through the same bulk columnar machinery as
-    :func:`parse_fast`, one *region* at a time: fed lines accumulate in
+    ``scan_stream`` and the serving workers keep one of these per
+    stream.  Clean input goes through the same bulk columnar machinery
+    as :func:`parse_fast`, one *region* at a time (a region's events
+    carry the column sidecar, as ``parse_fast(..., columns=True)``
+    returns it): fed lines accumulate in
     a holdback list, and whenever a new ``EVENT`` line arrives the lines
     *before* the last one — whole, provably complete stack blocks — are
     bulk-parsed, while the potentially still-growing final block stays
@@ -581,7 +583,7 @@ class StreamingParser:
                 isinstance(line, str) and "\r" in line for line in region
             ):
                 raise _Fallback
-            events, n_blank = _parse_clean(region, check_tail=False)
+            events, n_blank = _parse_clean(region, check_tail=False, columns=True)
         except _Fallback:
             self._scalar_mode = True
             out = self._feed_scalar(region)

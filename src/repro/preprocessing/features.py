@@ -19,18 +19,19 @@ paper's Figure 2 collapses *similar* attributes to one id by UPGMA
 clustering; that refinement is not built, so only identical attributes
 share an id.
 
-Column scorer: an event's features are a pure function of its key
-``(category, opcode, name, walk)``, and production logs are highly
+Column featurization: an event's features are a pure function of its
+key ``(category, opcode, name, walk)``, and production logs are highly
 repetitive — a 5k-event host holds a few dozen distinct keys.
 :meth:`EventFeaturizer.transform_columns` takes the interned columns of
-a log (:class:`~repro.etw.events.EventColumns`), factorizes the four key
-columns exactly, featurizes one :class:`EventKey` per distinct key
-through :meth:`~EventFeaturizer.transform`, and gathers the ``(n, 3)``
-matrix with the inverse index.  Rows are bit-identical to featurizing
-every record: the same vocabulary lookups, stored into the same float64
-cells.  :meth:`~EventFeaturizer.transform` itself memoizes resolved ids
-per key, and :meth:`~EventFeaturizer.transform_event` returns a cached
-read-only row for the streaming scan.
+a log or of one streamed block (:class:`~repro.etw.events.EventColumns`),
+factorizes the four key columns exactly, featurizes one
+:class:`EventKey` per distinct key through
+:meth:`~EventFeaturizer.transform`, and gathers the ``(n, 3)`` matrix
+with the inverse index.  Rows are bit-identical to featurizing every
+record: the same vocabulary lookups, stored into the same float64
+cells.  Training, the offline scan, ``scan_stream`` and the serve
+workers all featurize this way; :meth:`~EventFeaturizer.transform`
+memoizes resolved ids per attribute triple.
 """
 
 from __future__ import annotations
@@ -144,15 +145,6 @@ class EventFeaturizer:
         # attribute triple → resolved (etype_id, app_id, system_id);
         # valid only after the vocabularies are frozen in fit()
         self._id_cache: Dict[AttributeTriple, Tuple[int, int, int]] = {}
-        # resolved id triple → shared read-only feature row
-        self._row_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
-        # (category, opcode, name, frames) → resolved ids: short-circuits
-        # the attribute-triple construction itself, which is the dominant
-        # per-event cost once ids are memoized.  Keying on the raw frames
-        # tuple is sound because the attribute triple is a pure function
-        # of (etype, frames); cheap because the parser interns frames and
-        # StackFrame caches its hash.
-        self._event_cache: Dict[tuple, Tuple[int, int, int]] = {}
 
     # -- attribute extraction -----------------------------------------
     def attributes(self, event: EventRecord) -> AttributeTriple:
@@ -167,8 +159,6 @@ class EventFeaturizer:
     # -- fit / transform ----------------------------------------------
     def fit(self, *event_streams: Iterable[EventRecord]) -> "EventFeaturizer":
         self._id_cache.clear()
-        self._row_cache.clear()
-        self._event_cache.clear()
         for stream in event_streams:
             for event in stream:
                 etype, app, system = self.attributes(event)
@@ -194,38 +184,12 @@ class EventFeaturizer:
             self._id_cache[attrs] = ids
         return ids
 
-    def _resolve_event(self, event: EventRecord) -> Tuple[int, int, int]:
-        """Vocabulary ids for one event, through the event-level memo."""
-        key = (event.category, event.opcode, event.name, event.frames)
-        ids = self._event_cache.get(key)
-        if ids is None:
-            ids = self._resolve(self.attributes(event))
-            self._event_cache[key] = ids
-        return ids
-
-    def transform_event(self, event: EventRecord) -> np.ndarray:
-        """Feature row for one event — the streaming-scan unit; equals
-        the corresponding row of :meth:`transform` bit for bit.
-
-        Returns a shared read-only array per distinct attribute triple;
-        copy before mutating.
-        """
-        if not self.fitted:
-            raise RuntimeError("EventFeaturizer.transform before fit")
-        ids = self._resolve_event(event)
-        row = self._row_cache.get(ids)
-        if row is None:
-            row = np.array(ids, dtype=float)
-            row.setflags(write=False)
-            self._row_cache[ids] = row
-        return row
-
     def transform(self, events: Sequence[EventRecord]) -> np.ndarray:
         if not self.fitted:
             raise RuntimeError("EventFeaturizer.transform before fit")
         out = np.empty((len(events), self.DIMS), dtype=float)
-        resolve_event = self._resolve_event
-        rows = [resolve_event(event) for event in events]
+        resolve, attributes = self._resolve, self.attributes
+        rows = [resolve(attributes(event)) for event in events]
         if rows:
             out[:] = rows
         return out

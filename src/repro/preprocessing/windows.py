@@ -12,9 +12,8 @@ weights (mean by default, max as the pessimistic alternative).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,10 +67,18 @@ class WindowCoalescer:
             raise ValueError("features/eids length mismatch")
         ids = int_column(eids)
         starts = np.asarray(self._starts(len(ids)), dtype=np.intp)
+        return self._windows(features, ids, starts)
+
+    def _windows(
+        self, features: np.ndarray, ids: np.ndarray, starts: np.ndarray, base: int = 0
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Spans and vectors of the windows at ``starts`` (row positions
+        in ``features``; ``base`` is the stream index of row 0)."""
         if not len(starts):
             return np.zeros((0, 3), dtype=ids.dtype), np.zeros((0, self.dims))
         spans = np.stack(
-            [starts, ids[starts], ids[starts + self.window_events - 1]], axis=1
+            [starts + base, ids[starts], ids[starts + self.window_events - 1]],
+            axis=1,
         )
         return spans, self._gather(features, starts)
 
@@ -88,27 +95,9 @@ class WindowCoalescer:
             for (start, first, last), row in zip(spans.tolist(), matrix)
         ]
 
-    def push_coalescer(self) -> "PushCoalescer":
-        """A fresh push-mode coalescer carrying this coalescer's geometry
-        — one per live stream in the serving path."""
-        return PushCoalescer(self.window_events, self.stride)
-
-    def iter_coalesce(
-        self, pairs: Iterable[Tuple[EventRecord, np.ndarray]]
-    ) -> Iterator[Window]:
-        """Incremental coalescing over an ``(event, feature_row)`` stream.
-
-        Holds a deque of at most ``window_events`` pending pairs — the
-        streaming-scan memory bound — and yields each :class:`Window` the
-        moment its last event arrives.  Produces exactly the windows of
-        :meth:`coalesce` (same spans, bit-identical vectors) without ever
-        materializing the event list.
-        """
-        coalescer = self.push_coalescer()
-        for event, row in pairs:
-            window = coalescer.push(event, row)
-            if window is not None:
-                yield window
+    def windower(self) -> "StreamWindower":
+        """A fresh per-stream windower with this coalescer's geometry."""
+        return StreamWindower(self)
 
     def coalesce_matrix(self, features: np.ndarray) -> np.ndarray:
         """Window vectors only, stacked into an ``(m, 3*window)`` matrix."""
@@ -131,88 +120,44 @@ class WindowCoalescer:
         return np.asarray(values)
 
 
-class PushCoalescer:
-    """Push-mode core of :meth:`WindowCoalescer.iter_coalesce`: feed one
-    ``(event, feature_row)`` pair, get back the :class:`Window` it
-    completed, if any.
+class StreamWindower:
+    """One stream's windowing state between blocks: the last
+    ``window_events - 1`` feature rows and eids plus the running event
+    count.
 
-    This is the per-stream coalescing state the serving workers keep
-    alive between socket payloads — a deque of at most ``window_events``
-    pending rows plus the running event count — so window spans and
-    vectors are bit-identical to the pull path no matter how the stream's
-    bytes were chunked in flight.
+    :meth:`push` returns every window that closes in a block, computed
+    by :meth:`WindowCoalescer.coalesce_with_matrix`'s index arithmetic
+    over tail + block, so a stream pushed in any block sizes yields the
+    spans and vectors of one offline pass over the whole log (window
+    vectors are pure row slices; no arithmetic touches them).
     """
 
-    __slots__ = ("window_events", "stride", "buffer", "count")
+    __slots__ = ("coalescer", "rows", "eids", "count")
 
-    def __init__(self, window_events: int, stride: int):
-        if window_events < 1:
-            raise ValueError("window_events must be >= 1")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.window_events = window_events
-        self.stride = stride
-        self.buffer: deque = deque(maxlen=window_events)
+    def __init__(self, coalescer: WindowCoalescer):
+        self.coalescer = coalescer
+        self.rows = np.zeros((0, 3))
+        self.eids = np.zeros(0, dtype=np.int64)
         self.count = 0
 
-    def push(self, event: EventRecord, row: np.ndarray) -> "Window | None":
-        self.buffer.append((event, row))
-        self.count += 1
-        start = self.count - self.window_events
-        if start >= 0 and start % self.stride == 0:
-            return Window(
-                start_index=start,
-                start_eid=self.buffer[0][0].eid,
-                end_eid=event.eid,
-                vector=np.concatenate([pair[1] for pair in self.buffer]),
-            )
-        return None
-
-    def push_block(self, events, rows: np.ndarray) -> "list[Window]":
-        """Push a whole parsed block at once — the serving fast path for
-        bulk regions, equivalent to ``push(events[i], rows[i])`` per pair.
-
-        Window vectors come out bit-identical to the scalar path: a
-        window covering rows ``[j, j+w)`` of the held+new row matrix is
-        that slice flattened, which is exactly the ``np.concatenate`` of
-        the same per-event rows (pure data movement, no arithmetic).
-        """
-        n = len(events)
-        if n == 0:
-            return []
-        if n == 1:
-            window = self.push(events[0], rows[0])
-            return [window] if window is not None else []
-        window_events = self.window_events
-        stride = self.stride
-        base = self.count
-        held = list(self.buffer)
-        first_global = base - len(held)
-        if held:
-            combined = np.concatenate(
-                [np.stack([pair[1] for pair in held]), rows]
-            )
-            all_events = [pair[0] for pair in held]
-            all_events.extend(events)
-        else:
-            combined = np.asarray(rows)
-            all_events = list(events)
-        self.count = base + n
-        out: list = []
-        # windows whose final event lies in this block: start index in
-        # [base - w + 1, base + n - w], clamped to >= 0, on the stride
-        lo = max(0, base - window_events + 1)
-        first_start = -(-lo // stride) * stride
-        for start in range(first_start, base + n - window_events + 1, stride):
-            j = start - first_global
-            out.append(
-                Window(
-                    start_index=start,
-                    start_eid=all_events[j].eid,
-                    end_eid=all_events[j + window_events - 1].eid,
-                    vector=combined[j : j + window_events].reshape(-1),
-                )
-            )
-        for pair in zip(events[-window_events:], rows[-window_events:]):
-            self.buffer.append(pair)
-        return out
+    def push(
+        self, rows: np.ndarray, eids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(m, 3)`` spans and ``(m, 3*window)`` matrix of the
+        windows whose last event is in this block of ``(n, 3)`` feature
+        rows and ``n`` event ids."""
+        if len(rows) != len(eids):
+            raise ValueError("features/eids length mismatch")
+        rows = np.concatenate([self.rows, np.asarray(rows, dtype=float)])
+        ids = np.concatenate([self.eids, int_column(eids)])
+        base = self.count - len(self.eids)  # stream index of rows[0]
+        self.count += len(eids)
+        coalescer = self.coalescer
+        stride = coalescer.stride
+        first = -(-base // stride) * stride - base
+        starts = np.arange(
+            first, len(ids) - coalescer.window_events + 1, stride, dtype=np.intp
+        )
+        drop = max(0, len(ids) - coalescer.window_events + 1)
+        self.rows, self.eids = rows[drop:].copy(), ids[drop:].copy()
+        return coalescer._windows(rows, ids, starts, base)

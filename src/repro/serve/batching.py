@@ -5,14 +5,14 @@ streams would otherwise pay it per-stream on tiny matrices.  The
 micro-batcher coalesces *ready chunks* from many streams into one
 ``(k, 30)`` matrix per model and scores them in a single fused call —
 with every chunk's scores **bit-identical** to the serial per-stream
-path (``LeapsPipeline._score_windows`` on that chunk alone).
+path (``LeapsPipeline.score_stream`` scoring that chunk alone).
 
 Why that holds (the equality argument, DESIGN.md §12):
 
 * chunk boundaries are *per-stream* — chunk k of a stream covers its
   windows ``[k·chunk, (k+1)·chunk)`` regardless of arrival interleaving
-  or shard count — so the blocks being scored are the exact matrices
-  the serial path would build;
+  or shard count (:class:`~repro.core.pipeline.StreamChunker`) — so the
+  blocks being scored are the exact matrices the serial path builds;
 * standardization and every kernel stage except the two BLAS products
   are elementwise, hence bit-deterministic per row whether evaluated on
   one chunk or on the concatenation of fifty;
@@ -25,7 +25,7 @@ Why that holds (the equality argument, DESIGN.md §12):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -38,11 +38,12 @@ class ScoreChunk:
 
     stream_id: str
     pipeline: object
-    windows: List = field(default_factory=list)
+    #: ``(k, 3)`` window spans ``(start_index, start_eid, end_eid)``
+    spans: np.ndarray
+    #: ``(k, 3*window)`` unscaled window vectors
+    matrix: np.ndarray
     #: per-window parse-completion timestamps (latency accounting)
-    times: List[float] = field(default_factory=list)
-    #: last chunk of its stream
-    final: bool = False
+    times: np.ndarray
     #: when the chunk became score-ready (flush-wait accounting for the
     #: adaptive micro-batcher)
     ready_at: float = 0.0
@@ -62,10 +63,7 @@ def score_chunks(chunks: Sequence[ScoreChunk]) -> List[np.ndarray]:
         by_model.setdefault(id(chunk.pipeline), []).append(position)
     for positions in by_model.values():
         pipeline = chunks[positions[0]].pipeline
-        stacks = [
-            np.stack([window.vector for window in chunks[position].windows])
-            for position in positions
-        ]
+        stacks = [chunks[position].matrix for position in positions]
         matrix = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
         matrix = pipeline.standardizer.transform(matrix)
         bounds = []

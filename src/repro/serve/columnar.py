@@ -42,23 +42,23 @@ is bit-identical to the text path's.
 :class:`ChunkEncoder` and :class:`CaptureChunkDecoder` are a stateful
 pair: both sides grow the same cumulative tables in the same order, so
 ids never need renegotiating.  The decoder buffers arbitrary byte
-fragments (chunks may split anywhere, across frames or socket reads)
-and validates every id and length before materializing a single
-:class:`~repro.etw.events.EventRecord`; frames come out of the
-process-wide intern table exactly as after a text parse, so
-featurization memos hit on object identity.
+fragments (chunks may split anywhere, across frames or socket reads),
+validates every id and length, and returns each events chunk as
+:class:`~repro.etw.events.EventColumns` over the cumulative
+vocabularies and walk table — the form the featurizer reads, so no
+record is ever built.  Frames come out of the process-wide intern table
+exactly as after a text parse.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import struct
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.etw.events import EventRecord, StackFrame
+from repro.etw.events import EventColumns, EventRecord, StackFrame
 from repro.etw.parser import intern_frame
 from repro.etw.recovery import ParseReport
 
@@ -275,10 +275,8 @@ class _Cursor:
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
 
-    def int64s(self, count: int, what: str) -> list:
-        return np.frombuffer(
-            self.take(count * 8, what), dtype=_I64, count=count
-        ).tolist()
+    def int64s(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.take(count * 8, what), dtype=_I64, count=count)
 
     def done(self) -> bool:
         return self.offset == self.end
@@ -289,8 +287,10 @@ class CaptureChunkDecoder:
 
     :meth:`feed` accepts byte fragments cut at *any* boundary and
     returns whatever whole chunks they complete, decoded into
-    ``(events, reports)``.  State (vocabularies, interned frames,
-    walk tuples) accumulates across chunks, mirroring the encoder.
+    ``(columns, reports)``: one :class:`EventColumns` per events chunk.
+    State (vocabularies, interned frames, walk tuples) accumulates
+    across chunks, mirroring the encoder; every chunk's columns index
+    the cumulative tables.
     """
 
     def __init__(self):
@@ -307,10 +307,10 @@ class CaptureChunkDecoder:
 
     def feed(
         self, data: bytes
-    ) -> Tuple[List[EventRecord], List[ParseReport]]:
+    ) -> Tuple[List[EventColumns], List[ParseReport]]:
         """Buffer ``data`` and decode every now-complete chunk."""
         self._buffer.extend(data)
-        events: List[EventRecord] = []
+        blocks: List[EventColumns] = []
         reports: List[ParseReport] = []
         while len(self._buffer) >= CHUNK_HEADER_SIZE:
             magic, version, kind, body_len = _CHUNK_HEADER.unpack_from(
@@ -334,12 +334,12 @@ class CaptureChunkDecoder:
             )
             del self._buffer[: CHUNK_HEADER_SIZE + body_len]
             if kind == CHUNK_EVENTS:
-                events.extend(self._decode_events(memoryview(body)))
+                blocks.append(self._decode_events(memoryview(body)))
             elif kind == CHUNK_REPORT:
                 reports.append(self._decode_report(body))
             else:
                 raise ChunkError(f"unknown chunk kind {kind}")
-        return events, reports
+        return blocks, reports
 
     # -- internals -----------------------------------------------------
     def _decode_report(self, body: bytes) -> ParseReport:
@@ -379,7 +379,7 @@ class CaptureChunkDecoder:
                 )
         self._vocabs[name].extend(entries)
 
-    def _decode_events(self, view: memoryview) -> List[EventRecord]:
+    def _decode_events(self, view: memoryview) -> EventColumns:
         cursor = _Cursor(view)
         n_events = cursor.u32("event count")
         for name in _VOCAB_NAMES:
@@ -399,20 +399,20 @@ class CaptureChunkDecoder:
         addr_raw = cursor.take(n_new_frames * 8, "frame addresses")
         addresses = np.frombuffer(
             addr_raw, dtype=_U64 if addr_flag else _I64, count=n_new_frames
-        ).tolist()
+        )
 
         n_new_walks = cursor.u32("walk count")
         n_flat = cursor.u32("walk flat length")
         walk_flat = cursor.int64s(n_flat, "walk frame ids")
         walk_lens = cursor.int64s(n_new_walks, "walk lengths")
 
-        columns = [
-            cursor.int64s(n_events, what)
-            for what in (
-                "eid", "timestamp", "pid", "tid", "opcode",
-                "process_id", "category_id", "name_id", "walk_id",
-            )
-        ]
+        columns = EventColumns()
+        columns.n_events = n_events
+        for what in (
+            "eid", "timestamp", "pid", "tid", "opcode",
+            "process_id", "category_id", "name_id", "walk_id",
+        ):
+            setattr(columns, what, cursor.int64s(n_events, what))
         if not cursor.done():
             raise ChunkError(
                 f"{cursor.end - cursor.offset} trailing bytes in events chunk"
@@ -421,81 +421,51 @@ class CaptureChunkDecoder:
         # -- validate ids against the cumulative tables ----------------
         frames = self._frames
         walks = self._walks
-        n_frames_after = len(frames) + n_new_frames
-        for module_id, function_id in zip(frame_module, frame_function):
-            if not 0 <= module_id < len(modules):
-                raise ChunkError("frame module id out of range")
-            if not 0 <= function_id < len(functions):
-                raise ChunkError("frame function id out of range")
-        if sum(walk_lens) != n_flat or any(n < 0 for n in walk_lens):
+        if not _in_range(frame_module, len(modules)):
+            raise ChunkError("frame module id out of range")
+        if not _in_range(frame_function, len(functions)):
+            raise ChunkError("frame function id out of range")
+        # each length in [0, n_flat] keeps the int64 sum exact
+        if not _in_range(walk_lens, n_flat + 1) or int(walk_lens.sum()) != n_flat:
             raise ChunkError("walk lengths do not cover the flat frame ids")
-        for frame_id in walk_flat:
-            if not 0 <= frame_id < n_frames_after:
-                raise ChunkError("walk frame id out of range")
-        n_walks_after = len(walks) + n_new_walks
-        bounds = (
-            ("process_id", columns[5], len(vocabs["process"])),
-            ("category_id", columns[6], len(vocabs["category"])),
-            ("name_id", columns[7], len(vocabs["name"])),
-            ("walk_id", columns[8], n_walks_after),
-        )
-        for what, column, bound in bounds:
-            for value in column:
-                if not 0 <= value < bound:
-                    raise ChunkError(f"{what} out of range [0, {bound})")
+        if not _in_range(walk_flat, len(frames) + n_new_frames):
+            raise ChunkError("walk frame id out of range")
+        for what, bound in (
+            ("process_id", len(vocabs["process"])),
+            ("category_id", len(vocabs["category"])),
+            ("name_id", len(vocabs["name"])),
+            ("walk_id", len(walks) + n_new_walks),
+        ):
+            if not _in_range(getattr(columns, what), bound):
+                raise ChunkError(f"{what} out of range [0, {bound})")
 
-        # -- materialize (same GC-paused discipline as load_capture) ---
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            for index, module, function, address in zip(
-                frame_index, frame_module, frame_function, addresses
-            ):
-                frames.append(
-                    intern_frame(index, modules[module], functions[function], address)
-                )
-            offset = 0
-            for length in walk_lens:
-                walks.append(
-                    tuple(
-                        frames[frame_id]
-                        for frame_id in walk_flat[offset : offset + length]
-                    )
-                )
-                offset += length
-            processes = vocabs["process"]
-            categories = vocabs["category"]
-            names = vocabs["name"]
-            events: List[EventRecord] = []
-            append = events.append
-            new = EventRecord.__new__
-            for (
-                event_eid,
-                event_timestamp,
-                event_pid,
-                event_tid,
-                event_opcode,
-                event_process,
-                event_category,
-                event_name,
-                event_walk,
-            ) in zip(*columns):
-                record = new(EventRecord)
-                record.eid = event_eid
-                record.timestamp = event_timestamp
-                record.pid = event_pid
-                record.process = processes[event_process]
-                record.tid = event_tid
-                record.category = categories[event_category]
-                record.opcode = event_opcode
-                record.name = names[event_name]
-                record.frames = walks[event_walk]
-                append(record)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return events
+        # -- grow the frame and walk tables ----------------------------
+        for index, module, function, address in zip(
+            frame_index.tolist(),
+            frame_module.tolist(),
+            frame_function.tolist(),
+            addresses.tolist(),
+        ):
+            frames.append(
+                intern_frame(index, modules[module], functions[function], address)
+            )
+        flat = walk_flat.tolist()
+        offset = 0
+        for length in walk_lens.tolist():
+            walks.append(
+                tuple(frames[frame_id] for frame_id in flat[offset : offset + length])
+            )
+            offset += length
+        columns.process_vocab = vocabs["process"]
+        columns.category_vocab = vocabs["category"]
+        columns.name_vocab = vocabs["name"]
+        columns.walks = walks
+        return columns
+
+
+def _in_range(column: np.ndarray, bound: int) -> bool:
+    """Every id of ``column`` lies in ``[0, bound)``."""
+    return not len(column) or (int(column.min()) >= 0 and int(column.max()) < bound)
 
 
 def encode_event_stream(

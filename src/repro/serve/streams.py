@@ -2,10 +2,13 @@
 
 One :class:`StreamScanner` holds everything a live stream needs between
 payloads: the byte-fragment buffer (lines split across socket reads),
-the incremental parser (:class:`repro.etw.fastparse.StreamingParser`),
-the push-mode window coalescer, and the open scoring chunk.  Feeding it
-the stream's bytes in *any* chunking produces windows — and, after
-scoring, detections — bit-identical to
+the incremental parser (:class:`repro.etw.fastparse.StreamingParser`)
+or the columnar chunk decoder, and the stream's
+:class:`~repro.core.pipeline.StreamChunker` (windower tail and open
+scoring chunk).  Every parsed or decoded block reaches the chunker as
+:class:`~repro.etw.events.EventColumns` — the path ``scan_stream``
+takes.  Feeding a scanner the stream's bytes in *any* chunking produces
+windows — and, after scoring, detections — bit-identical to
 :meth:`LeapsDetector.scan_stream` over the whole log at once:
 
 * byte → line splitting mirrors :func:`repro.etw.parser.read_log_lines`
@@ -14,8 +17,8 @@ scoring, detections — bit-identical to
 * parsing *is* the scalar parser (shared
   :class:`~repro.etw.parser.ParseMachine`), bulk-accelerated on clean
   regions;
-* chunk boundaries replicate ``LeapsPipeline._score_stream``'s
-  ``stream_chunk_windows`` discipline exactly — chunk k covers windows
+* chunk boundaries are ``scan_stream``'s, from the same
+  :class:`~repro.core.pipeline.StreamChunker` — chunk k covers windows
   ``[k·chunk, (k+1)·chunk)`` of *this stream*, independent of how its
   bytes interleaved with other streams' — which is what lets the
   cross-stream micro-batcher score many streams per kernel call without
@@ -27,6 +30,8 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
+from repro.core.pipeline import StreamChunker, event_columns
+from repro.etw.events import EventColumns
 from repro.etw.fastparse import StreamingParser
 from repro.etw.parser import LogLine, ParseError
 from repro.serve.batching import ScoreChunk
@@ -50,14 +55,9 @@ class StreamScanner:
         self.policy = policy or pipeline.parser.policy
         self.parser = StreamingParser(policy=self.policy)
         self.report = self.parser.report
-        self.coalescer = pipeline.coalescer.push_coalescer()
-        self.chunk_windows = int(pipeline.config.stream_chunk_windows)
+        self.chunker = StreamChunker(pipeline)
         self._clock = clock
-        self._transform = pipeline.featurizer.transform_event
-        self._batch_transform = pipeline.featurizer.transform
         self._fragment = b""
-        self._pending: List = []  # windows of the open (partial) chunk
-        self._pending_times: List[float] = []
         self._ready: List[ScoreChunk] = []
         self._decoder: Optional[CaptureChunkDecoder] = None
         self._mode: Optional[str] = None  # "text" | "columnar" once fed
@@ -69,7 +69,6 @@ class StreamScanner:
         self.featurize_s = 0.0  # transform + coalesce + chunk time
         self.finished = False
         self.disconnected = False
-        self.error: Optional[ParseError] = None
 
     # -- ingest --------------------------------------------------------
     def feed_bytes(self, data: bytes) -> None:
@@ -117,11 +116,6 @@ class StreamScanner:
         self.decode_s += time.perf_counter() - start
         self.feed_lines(lines, cr_free=cr_free)
 
-    def feed_events(self, events: List) -> None:
-        """Ingest already-parsed events (a ``.leapscap`` capture served
-        by path) — same featurize/coalesce/chunk path, no parse."""
-        self._ingest(events)
-
     def feed_chunk_bytes(self, data: bytes) -> None:
         """Ingest columnar chunk bytes (``FRAME_DATA_COLUMNAR``
         payloads) in arbitrary fragments; client-shipped report chunks
@@ -134,23 +128,23 @@ class StreamScanner:
         if self._decoder is None:
             self._decoder = CaptureChunkDecoder()
         start = time.perf_counter()
-        events, reports = self._decoder.feed(data)
+        blocks, reports = self._decoder.feed(data)
         self.decode_s += time.perf_counter() - start
         for report in reports:
             self.report.merge(report)
-        self._ingest(events)
+        for columns in blocks:
+            self.feed_events(columns)
 
     def feed_lines(self, lines: List[LogLine], cr_free: bool = False) -> None:
         self.lines_seen += len(lines)
         try:
             events = self.parser.feed_lines(lines, cr_free=cr_free)
-        except ParseError as error:
+        except ParseError:
             # strict policy: the stream is dead; the report was
             # finalized by the machine before raising
-            self.error = error
             self.finished = True
             raise
-        self._ingest(events)
+        self.feed_events(event_columns(events))
 
     def finish(self, disconnected: bool = False) -> None:
         """End of stream: flush the fragment, run the parser's real
@@ -186,11 +180,10 @@ class StreamScanner:
         try:
             events = self.parser.feed_lines(tail) if tail else []
             events.extend(self.parser.finish())
-        except ParseError as error:
-            self.error = error
+        except ParseError:
             self.finished = True
             raise
-        self._ingest(events)
+        self.feed_events(event_columns(events))
         if disconnected and not self.report.truncated_tail:
             from repro.etw.recovery import ParseErrorKind
 
@@ -200,8 +193,7 @@ class StreamScanner:
                 max(self.parser.machine.lineno, 1),
                 "stream disconnected before END",
             )
-        if self._pending:
-            self._ready.append(self._close_chunk(final=True))
+        self._make_ready(self.chunker.close())
         self.finished = True
 
     # -- scoring handoff -----------------------------------------------
@@ -209,14 +201,12 @@ class StreamScanner:
     def unscored_windows(self) -> int:
         """Windows parsed but not yet handed to a scoring call — the
         backpressure watermark input."""
-        return len(self._pending) + sum(
-            len(chunk.windows) for chunk in self._ready
-        )
+        return self.chunker.pending + self.ready_window_count
 
     @property
     def ready_window_count(self) -> int:
         """Windows sitting in completed (score-ready) chunks."""
-        return sum(len(chunk.windows) for chunk in self._ready)
+        return sum(len(chunk.spans) for chunk in self._ready)
 
     def take_ready(self) -> List[ScoreChunk]:
         """Claim the completed chunks (the micro-batcher's input)."""
@@ -233,49 +223,18 @@ class StreamScanner:
         except UnicodeDecodeError:
             return piece
 
-    def _ingest(self, events: List) -> None:
-        if not events:
-            return
+    def feed_events(self, columns: EventColumns) -> None:
+        """Featurize, window and chunk one block of events: every parsed
+        or decoded block, or a ``.leapscap`` capture served by path."""
         start = time.perf_counter()
-        now = self._clock()
-        if len(events) >= 8:
-            # bulk region: vectorized featurization + block coalescing
-            # (bit-identical to the per-event path — the batch transform
-            # equals stacked transform_event rows, and block windows are
-            # the same row slices)
-            rows = self._batch_transform(events)
-            windows = self.coalescer.push_block(events, rows)
-        else:
-            transform = self._transform
-            push = self.coalescer.push
-            windows = []
-            for event in events:
-                window = push(event, transform(event))
-                if window is not None:
-                    windows.append(window)
-        pending = self._pending
-        times = self._pending_times
-        chunk_windows = self.chunk_windows
-        for window in windows:
-            pending.append(window)
-            times.append(now)
-            if len(pending) >= chunk_windows:
-                self._ready.append(self._close_chunk(final=False))
-                pending = self._pending
-                times = self._pending_times
-        self.events_seen += len(events)
+        self._make_ready(self.chunker.push(columns, self._clock()))
+        self.events_seen += columns.n_events
         self.featurize_s += time.perf_counter() - start
 
-    def _close_chunk(self, final: bool) -> ScoreChunk:
-        chunk = ScoreChunk(
-            stream_id=self.stream_id,
-            pipeline=self.pipeline,
-            windows=self._pending,
-            times=self._pending_times,
-            final=final,
-            ready_at=self._clock(),
-        )
-        self.windows_made += len(self._pending)
-        self._pending = []
-        self._pending_times = []
-        return chunk
+    def _make_ready(self, chunks) -> None:
+        now = self._clock()
+        for spans, matrix, times in chunks:
+            self.windows_made += len(spans)
+            self._ready.append(
+                ScoreChunk(self.stream_id, self.pipeline, spans, matrix, times, now)
+            )

@@ -3,7 +3,7 @@
 Streams are **consistently hashed to shards** (:func:`shard_for`, a
 CRC32 — the builtin ``hash`` is salted per process and would scatter a
 stream across restarts), so a stream's scanner state — parser machine,
-coalescer deque, open chunk — lives in exactly one worker for its whole
+windower tail, open chunk — lives in exactly one worker for its whole
 life and never migrates.  Detections are therefore independent of the
 shard count: each stream is scored by one worker with the serial chunk
 discipline, and only *which* streams share a kernel call changes.
@@ -77,14 +77,10 @@ def shard_for(stream_id: str, n_shards: int) -> int:
 
 def _detection_rows(chunk: ScoreChunk, scores: np.ndarray) -> List[tuple]:
     return [
-        (
-            window.start_index,
-            window.start_eid,
-            window.end_eid,
-            float(score),
-            bool(score < 0.0),
+        (index, start_eid, end_eid, score, score < 0.0)
+        for (index, start_eid, end_eid), score in zip(
+            chunk.spans.tolist(), scores.tolist()
         )
-        for window, score in zip(chunk.windows, scores)
     ]
 
 
@@ -245,7 +241,7 @@ def _handle(state: _ShardState, put, message) -> bool:
                 capture = load_capture(path)
                 if capture.report is not None:
                     scanner.report.merge(capture.report)
-                scanner.feed_events(list(capture.events))
+                scanner.feed_events(capture.columns)
                 scanner.bytes_seen += sum(
                     entry.stat().st_size for entry in Path(path).iterdir()
                 )
@@ -342,7 +338,7 @@ def _flush(state: _ShardState, put) -> None:
             state.batch_windows += len(rows)
             state.detections_total += len(rows)
             state.flagged_total += sum(1 for row in rows if row[4])
-            state.latencies.extend(now - t for t in chunk.times)
+            state.latencies.extend((now - chunk.times).tolist())
             put(("detections", chunk.stream_id, rows))
     # resume streams whose unscored backlog drained
     for stream_id in sorted(state.paused):

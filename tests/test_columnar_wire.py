@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.etw.capture import _capture_records
 from repro.etw.fastparse import parse_fast
 from repro.etw.recovery import ParseReport
 from repro.serve.batching import score_chunks
@@ -36,6 +37,13 @@ def detector():
     return tiny_detector()
 
 
+def decode_records(decoder, blob):
+    """Feed ``blob`` to ``decoder``; the records rebuilt from the
+    decoded columns (as a capture's are), and the decoded reports."""
+    blocks, reports = decoder.feed(blob)
+    return [event for columns in blocks for event in _capture_records(columns)], reports
+
+
 def encode_blob(events, report=None, chunk_events=8192):
     """Whole stream as one contiguous byte blob of columnar chunks."""
     return b"".join(encode_event_stream(events, report, chunk_events))
@@ -52,11 +60,10 @@ def scan_columnar(detector, blob, cuts=()):
     chunks = scanner.take_ready()
     rows = []
     for chunk, scores in zip(chunks, score_chunks(chunks)):
-        for window, score in zip(chunk.windows, scores):
-            rows.append(
-                (window.start_index, window.start_eid, window.end_eid,
-                 float(score))
-            )
+        for (index, start_eid, end_eid), score in zip(
+            chunk.spans.tolist(), scores.tolist()
+        ):
+            rows.append((index, start_eid, end_eid, score))
     return rows, scanner
 
 
@@ -74,7 +81,7 @@ class TestCodecRoundTrip:
     def test_events_and_interning_survive_the_wire(self):
         events = parse_fast(TINY_LOG.splitlines())
         decoder = CaptureChunkDecoder()
-        got, reports = decoder.feed(encode_blob(events, chunk_events=2))
+        got, reports = decode_records(decoder, encode_blob(events, chunk_events=2))
         assert reports == []
         assert got == list(events)
         for mine, theirs in zip(got, events):
@@ -91,8 +98,13 @@ class TestCodecRoundTrip:
         again = encoder.encode_events(events)
         assert len(again) < len(first)
         decoder = CaptureChunkDecoder()
-        got, _ = decoder.feed(first + again)
+        got, _ = decode_records(decoder, first + again)
         assert got == list(events) + list(events)
+        # the repeat decodes onto the walk tuples the first chunk made
+        assert all(
+            mine.frames is theirs.frames
+            for mine, theirs in zip(got, got[len(events):])
+        )
 
     def test_report_chunk_round_trips(self):
         report = ParseReport()
@@ -131,11 +143,13 @@ class TestCodecValidation:
     def test_truncated_body_stays_buffered(self):
         blob = self.blob()
         decoder = CaptureChunkDecoder()
-        events, _ = decoder.feed(blob[:-1])
-        assert events == []
+        blocks, _ = decoder.feed(blob[:-1])
+        assert blocks == []
         assert decoder.buffered_bytes == len(blob) - 1
-        events, _ = decoder.feed(blob[-1:])
-        assert len(events) == len(TINY_LOG.splitlines()) // 5
+        blocks, _ = decoder.feed(blob[-1:])
+        assert [columns.n_events for columns in blocks] == [
+            len(TINY_LOG.splitlines()) // 5
+        ]
         assert decoder.buffered_bytes == 0
 
     def test_id_out_of_range(self):
@@ -157,6 +171,73 @@ class TestCodecValidation:
         )
         with pytest.raises(ChunkError, match="trailing bytes"):
             CaptureChunkDecoder().feed(grown)
+
+
+def events_chunk(
+    frames=((0, 0, 0, 0x10),),
+    walk_flat=(0,),
+    walk_lens=(1,),
+    process_id=0,
+    category_id=0,
+    name_id=0,
+    walk_id=0,
+):
+    """One hand-built one-event chunk over one-entry vocabularies,
+    with every id settable (valid by default)."""
+
+    def int64s(values):
+        return struct.pack(f"<{len(values)}q", *values)
+
+    body = [struct.pack("<I", 1)]
+    for value in ("p.exe", "CAT", "name", "mod.dll", "fn"):
+        blob = (value + "\n").encode()
+        body.append(struct.pack("<II", 1, len(blob)) + blob)
+    body.append(struct.pack("<I", len(frames)))
+    for field in range(3):
+        body.append(int64s([frame[field] for frame in frames]))
+    body.append(struct.pack("B", 0) + int64s([frame[3] for frame in frames]))
+    body.append(struct.pack("<II", len(walk_lens), len(walk_flat)))
+    body.append(int64s(walk_flat) + int64s(walk_lens))
+    for value in (5, 100, 7, 8, 1, process_id, category_id, name_id, walk_id):
+        body.append(int64s([value]))
+    payload = b"".join(body)
+    return struct.pack(">2sBBI", b"LC", 1, 1, len(payload)) + payload
+
+
+class TestVectorizedIdChecks:
+    """Every id and length check of the decoder, one tampered field at
+    a time, with its message."""
+
+    def test_valid_chunk_decodes(self):
+        (columns,), _ = CaptureChunkDecoder().feed(events_chunk())
+        (event,) = _capture_records(columns)
+        assert (event.eid, event.process, event.category, event.name) == (
+            5, "p.exe", "CAT", "name"
+        )
+        assert [(f.module, f.function, f.address) for f in event.frames] == [
+            ("mod.dll", "fn", 0x10)
+        ]
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            ({"frames": ((0, 1, 0, 0x10),)}, "frame module id out of range"),
+            ({"frames": ((0, -1, 0, 0x10),)}, "frame module id out of range"),
+            ({"frames": ((0, 0, 1, 0x10),)}, "frame function id out of range"),
+            ({"walk_lens": (2,)}, "walk lengths do not cover"),
+            ({"walk_lens": (-1, 2)}, "walk lengths do not cover"),
+            ({"walk_lens": (2**62,) * 4, "walk_flat": ()}, "walk lengths do not cover"),
+            ({"walk_flat": (1,)}, "walk frame id out of range"),
+            ({"walk_flat": (-1,)}, "walk frame id out of range"),
+            ({"process_id": 1}, r"process_id out of range \[0, 1\)"),
+            ({"category_id": -1}, r"category_id out of range \[0, 1\)"),
+            ({"name_id": 1}, r"name_id out of range \[0, 1\)"),
+            ({"walk_id": 1}, r"walk_id out of range \[0, 1\)"),
+        ],
+    )
+    def test_tampered_id_is_rejected(self, tamper, message):
+        with pytest.raises(ChunkError, match=message):
+            CaptureChunkDecoder().feed(events_chunk(**tamper))
 
 
 class TestFragmentationEquivalence:

@@ -7,12 +7,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import pipeline as pipeline_module
 from repro.core.cfg_inference import CFG, CFGInferencer
 from repro.core.config import LeapsConfig
 from repro.core.detector import LeapsDetector
+from repro.core.persistence import bundle_fingerprint
 from repro.core.weights import WeightAssessor
 from repro.etw.parser import RawLogParser, serialize_events
 from repro.etw.stack_partition import StackPartitioner
+from repro.preprocessing.features import EventFeaturizer
 
 from tests.conftest import golden_dataset_dirs
 
@@ -151,3 +154,58 @@ class TestFitLogs:
         detector = LeapsDetector(LeapsConfig(**self.CONFIG))
         with pytest.raises(ValueError):
             detector.fit_logs([], [logs["mixed"]])
+
+
+class TestColumnFeaturizedTraining:
+    """Training featurizes each log from its columns; the matrices and
+    the saved model equal a per-record featurization of the same logs."""
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        from repro.datasets import generate_dataset
+
+        root = tmp_path_factory.mktemp("column-training")
+        paths = generate_dataset(
+            "vim_reverse_tcp", root / "vim", seed=3, train_events=600, scan_events=100
+        ).log_paths()
+        benign = paths["benign.log"].read_text().splitlines()
+        mixed = paths["mixed.log"].read_text().splitlines()
+        # two benign logs, cut at an event boundary
+        cut = next(
+            i for i in range(len(benign) // 2, len(benign))
+            if benign[i].startswith("EVENT|")
+        )
+        return [benign[:cut], benign[cut:]], [mixed]
+
+    @staticmethod
+    def train(logs, tmp_path):
+        config = LeapsConfig(
+            window_events=10,
+            stride=5,
+            lam_grid=(1.0,),
+            sigma2_grid=(30.0,),
+            cv_folds=0,
+            max_train_windows=150,  # exercises the subsample
+            seed=0,
+        )
+        prepared = LeapsDetector(config).pipeline.prepare_training_many(*logs)
+        detector = LeapsDetector(config)
+        detector.fit_logs(*logs)
+        detector.save(tmp_path / "bundle")
+        return prepared, bundle_fingerprint(tmp_path / "bundle")
+
+    def test_matrices_and_fingerprint_equal_per_record_oracle(
+        self, logs, tmp_path, monkeypatch
+    ):
+        from tests.test_scan_fast_path import oracle_rows
+
+        prepared, fingerprint = self.train(logs, tmp_path / "columns")
+        # the oracle: featurize every record, no columns involved
+        monkeypatch.setattr(pipeline_module, "event_columns", lambda events: events)
+        monkeypatch.setattr(EventFeaturizer, "transform_columns", oracle_rows)
+        oracle, oracle_fingerprint = self.train(logs, tmp_path / "records")
+        assert len(prepared.X) == 150
+        for name in ("X", "y", "c"):
+            assert np.array_equal(getattr(prepared, name), getattr(oracle, name))
+        assert fingerprint is not None
+        assert fingerprint == oracle_fingerprint

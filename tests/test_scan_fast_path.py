@@ -1,7 +1,7 @@
 """Scan fast path: vectorized featurization and the parallel fleet scan.
 
 The fast path must be invisible in the results: ``transform`` equals
-stacked ``transform_event`` rows bit for bit, ``scan_log`` equals the
+the per-record oracle rows (:func:`oracle_rows`) bit for bit, ``scan_log`` equals the
 streaming scan, ``scan_logs`` returns the same detections for any
 worker count or executor flavor, and the column scorer equals the
 per-record scorer for every window geometry and input form.
@@ -24,7 +24,7 @@ from repro import LeapsConfig, LeapsDetector, ScanResult
 from repro.core.detector import WindowDetection, detections
 from repro.core.pipeline import NotTrainedError
 from repro.etw.capture import convert_log, load_capture, write_capture
-from repro.etw.events import EventLog
+from repro.etw.events import EventColumns, EventLog
 from repro.etw.fastparse import parse_fast
 from repro.etw.parser import RawLogParser, read_log_lines
 from repro.etw.recovery import ParseReport
@@ -35,15 +35,30 @@ from tests.test_golden_logs import ALL_LOGS, read_header
 from tests.test_stream_scan import SCAN_SPECS, tiny_detector
 
 
+def oracle_rows(featurizer, events):
+    """Per-record feature rows resolved from ``attributes()`` plus
+    vocabulary lookups — no product memo involved."""
+    rows = [
+        (
+            featurizer.etype_vocab.lookup(etype),
+            featurizer.app_vocab.lookup(app),
+            featurizer.system_vocab.lookup(system),
+        )
+        for etype, app, system in map(featurizer.attributes, events)
+    ]
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
 class TestVectorizedTransform:
     def fitted(self, events):
         return EventFeaturizer().fit(events)
 
     def test_matches_stacked_transform_event_rows(self):
+        """``transform`` equals the stacked per-record oracle rows."""
         events = RawLogParser().parse_lines(make_log(SCAN_SPECS))
         featurizer = self.fitted(events)
         batch = featurizer.transform(events)
-        rows = np.stack([featurizer.transform_event(e) for e in events])
+        rows = oracle_rows(featurizer, events)
         assert batch.shape == (len(events), 3)
         assert np.array_equal(batch, rows)
 
@@ -53,7 +68,7 @@ class TestVectorizedTransform:
         )
         novel = RawLogParser().parse_lines(make_log([("beacon", PAYLOAD + NET)] * 2))
         batch = featurizer.transform(novel)
-        rows = np.stack([featurizer.transform_event(e) for e in novel])
+        rows = oracle_rows(featurizer, novel)
         assert np.array_equal(batch, rows)
         assert (batch[:, 1] == 0).all()  # app signature never trained
 
@@ -63,15 +78,6 @@ class TestVectorizedTransform:
         )
         assert featurizer.transform([]).shape == (0, 3)
 
-    def test_transform_event_rows_are_shared_and_read_only(self):
-        events = RawLogParser().parse_lines(make_log([("read", APP + SYS)] * 3))
-        featurizer = self.fitted(events)
-        first = featurizer.transform_event(events[0])
-        second = featurizer.transform_event(events[1])
-        assert first is second  # identical attributes share one row
-        with pytest.raises(ValueError):
-            first[0] = 99.0
-
     def test_unfitted_transform_raises(self):
         with pytest.raises(RuntimeError, match="before fit"):
             EventFeaturizer().transform([])
@@ -79,14 +85,16 @@ class TestVectorizedTransform:
 
 @pytest.mark.parametrize("relpath", ALL_LOGS)
 def test_transform_matches_event_rows_on_golden_heads(relpath):
-    """Property over every golden log head: the vectorized batch path
-    and the per-event streaming path produce bit-identical rows."""
+    """Property over every golden log head: the record and column
+    transforms and the per-record oracle produce bit-identical rows."""
     events = RawLogParser().parse_lines(read_header(relpath))
     assert events
     featurizer = EventFeaturizer().fit(events)
     batch = featurizer.transform(events)
-    rows = np.stack([featurizer.transform_event(e) for e in events])
+    rows = oracle_rows(featurizer, events)
     assert np.array_equal(batch, rows), relpath
+    columns = featurizer.transform_columns(EventColumns.from_records(events))
+    assert np.array_equal(columns, rows), relpath
 
 
 class TestScanLogFastPath:
@@ -303,7 +311,7 @@ class TestCaptureFleetScan:
 # -- the column scorer ---------------------------------------------------
 #
 # Every offline scan goes through ``LeapsPipeline.score_columns``.  The
-# oracle below is the per-record scorer: one ``transform_event`` row per
+# oracle below is the per-record scorer: one :func:`oracle_rows` row per
 # record, one concatenated vector per window start, and scoring batches
 # of ``stream_chunk_windows`` windows.
 
@@ -356,9 +364,9 @@ def record_oracle(detector, events):
     pipeline = detector.pipeline
     config = detector.config
     window = config.window_events
-    rows = [pipeline.featurizer.transform_event(event) for event in events]
+    rows = oracle_rows(pipeline.featurizer, events)
     starts = range(0, len(events) - window + 1, config.stride)
-    vectors = [np.concatenate(rows[start : start + window]) for start in starts]
+    vectors = [rows[start : start + window].reshape(-1) for start in starts]
     chunk = config.stream_chunk_windows
     out = []
     for low in range(0, len(vectors), chunk):
@@ -435,7 +443,7 @@ class TestColumnScorer:
         features = featurizer.transform_columns(events.columns)
         assert (features[:3, 1] == UNKNOWN_ID).all()
         assert (features[3:, 1] != UNKNOWN_ID).all()
-        rows = np.stack([featurizer.transform_event(event) for event in events])
+        rows = oracle_rows(featurizer, events)
         assert np.array_equal(features, rows)
 
     def test_scalar_fallback_parse_scores_alike(self):

@@ -6,10 +6,17 @@ protocol, registry routing, backpressure, and disconnect handling all
 behave as documented in DESIGN.md §12.
 """
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.etw.capture import write_capture
 from repro.etw.parser import ParseError, RawLogParser
@@ -207,6 +214,27 @@ class TestServerLocalSources:
         finally:
             handle.stop()
 
+    def test_capture_by_path_builds_no_records(self, detector, bundle, tmp_path):
+        """Spy on every EventRecord construction in a fresh interpreter
+        serving a capture by path: the scan builds none, and its
+        detections equal the text path's."""
+        lines = make_log(SCAN_SPECS)
+        capture_path = write_capture(
+            tmp_path / "host.leapscap", RawLogParser().parse_lines(lines)
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )}
+        out = subprocess.run(
+            [sys.executable, "-c", SERVE_SPY_SCRIPT, str(bundle), str(capture_path)],
+            capture_output=True, text=True, check=True, env=env, timeout=120,
+        )
+        made, detections = json.loads(out.stdout)
+        assert made == 0
+        assert [tuple(row) for row in detections] == rows(detector.scan_stream(lines))
+        assert len(detections) == len(SCAN_SPECS) - 1
+
     def test_missing_path_yields_error_frame(self, registry, tmp_path):
         handle = start_in_thread(registry, executor="thread")
         try:
@@ -217,6 +245,32 @@ class TestServerLocalSources:
             assert outcome.detections == []
         finally:
             handle.stop()
+
+
+SERVE_SPY_SCRIPT = """
+import json, sys
+from repro.etw.events import EventRecord
+from repro.serve import ModelRegistry, ServeClient, start_in_thread
+
+registry = ModelRegistry()
+registry.register("app", "v1", sys.argv[1])
+handle = start_in_thread(registry, executor="thread")
+made = []
+
+def counting_new(cls, *args, **kwargs):
+    made.append(cls)
+    return object.__new__(cls)
+
+EventRecord.__new__ = staticmethod(counting_new)
+try:
+    client = ServeClient(handle.address)
+    client.hello("by-capture", path=sys.argv[2])
+    outcome = client.finish()
+finally:
+    handle.stop()
+assert outcome.error is None, outcome.error
+print(json.dumps([len(made), outcome.detections]))
+"""
 
 
 class TestRegistryRouting:

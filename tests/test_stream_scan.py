@@ -1,5 +1,7 @@
 """Streaming scan: equivalence with the batch path and bounded memory."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.pipeline import LeapsPipeline, NotTrainedError
 from repro.etw.parser import iter_parse
 from repro.preprocessing.windows import WindowCoalescer
 
+from tests.faults import fault_corpus
 from tests.test_api import APP, NET, PAYLOAD, SYS, make_log, tiny_training_logs
 
 
@@ -31,24 +34,35 @@ SCAN_SPECS = [("read", APP + SYS), ("beacon", PAYLOAD + NET)] * 8
 
 
 class TestCoalescerStream:
+    """The per-stream windower over a parsed log equals the offline
+    :class:`Window` list, one-event pushes included."""
+
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
     def test_iter_coalesce_matches_batch(self, window, stride):
         events = list(iter_parse(make_log(SCAN_SPECS)))
         features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
         batch = coalescer.coalesce(features, events)
-        stream = list(coalescer.iter_coalesce(zip(events, features)))
-        assert len(stream) == len(batch)
-        for got, want in zip(stream, batch):
-            assert got.start_index == want.start_index
-            assert got.start_eid == want.start_eid
-            assert got.end_eid == want.end_eid
-            assert np.array_equal(got.vector, want.vector)
+        windower = coalescer.windower()
+        stream = [
+            windower.push(features[i : i + 1], [event.eid])
+            for i, event in enumerate(events)
+        ]
+        spans = np.concatenate([spans for spans, _ in stream])
+        matrix = np.concatenate([matrix for _, matrix in stream])
+        assert batch
+        assert spans.tolist() == [
+            [w.start_index, w.start_eid, w.end_eid] for w in batch
+        ]
+        assert np.array_equal(matrix, np.stack([w.vector for w in batch]))
 
     def test_short_stream_yields_nothing(self):
-        coalescer = WindowCoalescer(window_events=10, stride=5)
+        windower = WindowCoalescer(window_events=10, stride=5).windower()
         events = list(iter_parse(make_log(SCAN_SPECS[:3])))
-        assert list(coalescer.iter_coalesce((e, np.zeros(3)) for e in events)) == []
+        spans, matrix = windower.push(
+            np.zeros((len(events), 3)), [e.eid for e in events]
+        )
+        assert spans.shape == (0, 3) and matrix.shape == (0, 30)
 
 
 class TestStreamEquivalence:
@@ -82,12 +96,65 @@ class TestStreamEquivalence:
         streamed = [d.score for d in detector.scan_stream(lines)]
         np.testing.assert_allclose(streamed, reference, rtol=0, atol=1e-12)
 
+    def test_chunks_hold_stream_chunk_windows(self):
+        """``score_stream`` and a served stream fed in odd pieces both
+        cut chunk k at windows ``[k·chunk, (k+1)·chunk)``."""
+        from repro.serve.streams import StreamScanner
+
+        detector = tiny_detector(stream_chunk_windows=4)
+        lines = make_log(SCAN_SPECS)
+        n = len(detector.scan_log(lines))
+        want = [4] * (n // 4) + ([n % 4] if n % 4 else [])
+        sizes = [len(spans) for spans, _ in detector.pipeline.score_stream(lines)]
+        assert sizes == want
+        scanner = StreamScanner("odd", detector.pipeline)
+        payload = ("\n".join(lines) + "\n").encode()
+        for start in range(0, len(payload), 37):
+            scanner.feed_bytes(payload[start : start + 37])
+        scanner.finish()
+        assert [len(chunk.spans) for chunk in scanner.take_ready()] == want
+
+    def test_stream_reads_an_open_file(self, tmp_path):
+        """Lines as a text file yields them, ``\n`` included."""
+        detector = tiny_detector(stream_chunk_windows=3)
+        lines = make_log(SCAN_SPECS)
+        path = tmp_path / "host.log"
+        path.write_text("\n".join(lines) + "\n")
+        with open(path, encoding="utf-8") as stream:
+            streamed = list(detector.scan_stream(stream))
+        assert streamed == detector.scan_log(lines)
+
     def test_stream_accepts_pure_iterator(self):
         detector = tiny_detector()
         lines = make_log(SCAN_SPECS)
         from_list = detector.scan_log(lines)
         from_iter = list(detector.scan_stream(iter(lines)))
         assert from_iter == from_list
+
+
+class TestFaultCorpusMatchesOffline:
+    """``scan_stream`` (streaming parser, line blocks, windower) equals
+    the offline ``scan_logs`` (whole-log ``parse_fast``, column scorer)
+    on every fault variant: same detections, same ParseReport."""
+
+    @pytest.mark.parametrize("policy", ["warn", "drop"])
+    @pytest.mark.parametrize("chunk", [3, 256])
+    def test_scan_stream_equals_scan_logs(self, policy, chunk):
+        detector = tiny_detector(stream_chunk_windows=chunk)
+        variants = fault_corpus(make_log(SCAN_SPECS * 3), seed=0)
+        assert variants
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for variant in variants:
+                report = ParseReport()
+                streamed = list(
+                    detector.scan_stream(variant.lines, report=report, policy=policy)
+                )
+                (result,) = detector.scan_logs(
+                    [variant.lines], policy=policy, with_reports=True
+                )
+                assert streamed == result.detections, variant.name
+                assert report.to_dict() == result.report.to_dict(), variant.name
 
 
 class TestStreamIngestion:

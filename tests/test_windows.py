@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.etw.events import EventRecord
 from repro.preprocessing.windows import WindowCoalescer
@@ -79,79 +81,91 @@ class TestWindowWeights:
             WindowCoalescer(stride=0)
 
 
+def push_blocks(windower, features, eids, sizes):
+    """Push a log through ``windower`` in consecutive blocks of
+    ``sizes`` (any rest in one final block); every block's spans and
+    matrix, stacked."""
+    spans, matrices, low = [], [], 0
+    for size in list(sizes) + [len(eids)]:
+        high = min(low + size, len(eids))
+        got = windower.push(features[low:high], eids[low:high])
+        spans.append(got[0])
+        matrices.append(got[1])
+        low = high
+    return np.concatenate(spans), np.concatenate(matrices)
+
+
+def assert_same_windows(got, want):
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].shape == want[1].shape
+    assert np.array_equal(got[1], want[1])
+
+
 class TestPushCoalescer:
-    """The serving-side push coalescer must reproduce the pull-mode
-    stream (and hence the batch path) window for window."""
+    """Push-mode windowing: a :class:`StreamWindower` fed a stream in
+    any block sizes reproduces the offline ``coalesce_with_matrix`` of
+    the whole log window for window, bit for bit."""
 
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
     def test_push_matches_iter_coalesce(self, window, stride):
-        events = make_events(17)
-        features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
+        """One-event pushes equal the offline windows."""
+        eids = list(range(100, 117))
+        features = np.arange(len(eids) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
-        pulled = list(coalescer.iter_coalesce(zip(events, features)))
-        push = coalescer.push_coalescer()
-        pushed = []
-        for event, row in zip(events, features):
-            out = push.push(event, row)
-            if out is not None:
-                pushed.append(out)
-        assert len(pushed) == len(pulled)
-        for got, want in zip(pushed, pulled):
-            assert got.start_index == want.start_index
-            assert got.start_eid == want.start_eid
-            assert got.end_eid == want.end_eid
-            assert np.array_equal(got.vector, want.vector)
+        got = push_blocks(coalescer.windower(), features, eids, [1] * len(eids))
+        assert len(got[0])
+        assert_same_windows(got, coalescer.coalesce_with_matrix(features, eids))
 
     def test_short_stream_pushes_nothing(self):
-        push = WindowCoalescer(window_events=10, stride=5).push_coalescer()
-        for event in make_events(9):
-            assert push.push(event, np.zeros(3)) is None
+        windower = WindowCoalescer(window_events=10, stride=5).windower()
+        for eid in range(9):
+            spans, matrix = windower.push(np.zeros((1, 3)), [eid])
+            assert spans.shape == (0, 3) and matrix.shape == (0, 30)
 
     def test_fresh_push_coalescer_per_stream(self):
         coalescer = WindowCoalescer(window_events=2, stride=1)
-        first, second = coalescer.push_coalescer(), coalescer.push_coalescer()
-        events = make_events(4)
-        for event in events[:3]:
-            first.push(event, np.zeros(3))
-        # a second stream's coalescer starts from scratch
-        assert second.push(events[0], np.zeros(3)) is None
-        assert second.push(events[1], np.zeros(3)) is not None
+        first, second = coalescer.windower(), coalescer.windower()
+        first.push(np.zeros((3, 3)), [0, 1, 2])
+        # a second stream's windower starts from scratch
+        assert len(second.push(np.zeros((1, 3)), [0])[0]) == 0
+        assert second.push(np.zeros((1, 3)), [1])[0].tolist() == [[0, 0, 1]]
 
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
     @pytest.mark.parametrize("split", [1, 3, 6, 17])
     def test_push_block_matches_scalar_push(self, window, stride, split):
-        """Block pushes in any splitting reproduce the scalar push
-        stream window for window, bit for bit."""
-        events = make_events(17)
-        features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
+        """Block pushes in any splitting reproduce one-event pushes
+        window for window, bit for bit, and the two windowers stay
+        interchangeable mid-stream."""
+        eids = list(range(17))
+        features = np.arange(len(eids) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
-        scalar = coalescer.push_coalescer()
-        want = [
-            w
-            for event, row in zip(events, features)
-            for w in [scalar.push(event, row)]
-            if w is not None
-        ]
-        block = coalescer.push_coalescer()
-        got = []
-        for start in range(0, len(events), split):
-            got.extend(
-                block.push_block(
-                    events[start : start + split],
-                    features[start : start + split],
-                )
-            )
-        assert len(got) == len(want)
-        for mine, theirs in zip(got, want):
-            assert mine.start_index == theirs.start_index
-            assert mine.start_eid == theirs.start_eid
-            assert mine.end_eid == theirs.end_eid
-            assert np.array_equal(mine.vector, theirs.vector)
-        # the two coalescers stay interchangeable mid-stream
-        extra = make_events(20)[17:]
-        for event in extra:
-            row = np.full(3, float(event.eid))
-            a, b = scalar.push(event, row), block.push(event, row)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a.vector, b.vector)
+        scalar, block = coalescer.windower(), coalescer.windower()
+        want = push_blocks(scalar, features, eids, [1] * len(eids))
+        got = push_blocks(block, features, eids, [split] * len(eids))
+        assert_same_windows(got, want)
+        for eid in range(17, 20):
+            row = np.full((1, 3), float(eid))
+            assert_same_windows(block.push(row, [eid]), scalar.push(row, [eid]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window=st.integers(1, 5),
+    stride=st.integers(1, 7),
+    n=st.integers(0, 30),
+    sizes=st.lists(st.integers(0, 8), max_size=12),
+)
+@example(window=5, stride=7, n=4, sizes=[0, 1, 0, 1])  # n < W, S > W
+@example(window=3, stride=5, n=30, sizes=[1] * 12)  # S > W
+@example(window=1, stride=1, n=6, sizes=[0, 0, 6])
+def test_windower_over_random_splits_equals_offline(window, stride, n, sizes):
+    """The windower over any block split — empty and one-event blocks
+    included — equals ``coalesce_with_matrix`` on the whole log."""
+    coalescer = WindowCoalescer(window_events=window, stride=stride)
+    eids = [7 + 3 * i for i in range(n)]
+    features = np.arange(n * 3, dtype=float).reshape(-1, 3)
+    windower = coalescer.windower()
+    got = push_blocks(windower, features, eids, sizes)
+    assert_same_windows(got, coalescer.coalesce_with_matrix(features, eids))
+    # the tail never holds more than window_events - 1 rows
+    assert len(windower.rows) == len(windower.eids) == min(n, window - 1)
