@@ -57,12 +57,13 @@ from repro.etw.capture import (
     convert_log,
     load_capture,
     write_capture,
-    write_capture_naive,
 )
 from repro.etw.fastparse import parse_fast
 from repro.etw.parser import read_log_lines
 
 from repro.datasets.generation import DEFAULT_TRAIN_EVENTS, generate_dataset
+
+from tests.codec_oracle import write_capture_oracle
 
 DATA_DIR = REPO_ROOT / "benchmarks" / ".data"
 
@@ -183,15 +184,16 @@ def bench_corpus(
             repeats, lambda: load_capture(capture_path).events
         )
 
-        # -- writer: naive loop vs vectorized assembly -----------------
-        # (same parsed events, columns sidecar warm — the convert path)
+        # -- writer: per-record oracle loop vs column encoder ----------
+        # (same parsed events, columns sidecar warm — the convert path;
+        # the oracle is tests/codec_oracle.py)
         col_events = parse_fast(
             read_log_lines(text_path), policy="drop", columns=True
         )
         naive_dir = Path(scratch) / "naive.leapscap"
         vec_dir = Path(scratch) / "vec.leapscap"
         write_naive_s = best_of(
-            repeats, lambda: write_capture_naive(naive_dir, col_events)
+            repeats, lambda: write_capture_oracle(naive_dir, col_events)
         )
         write_vec_s = best_of(
             repeats, lambda: write_capture(vec_dir, col_events)
@@ -199,7 +201,7 @@ def bench_corpus(
         writer_identical = captures_byte_identical(naive_dir, vec_dir)
         if not writer_identical:
             raise AssertionError(
-                f"{name}: vectorized writer output diverged from naive"
+                f"{name}: column encoder output diverged from the oracle"
             )
 
         # -- end to end: raw bytes → detections ------------------------

@@ -60,10 +60,11 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core.config import LeapsConfig
 from repro.core.detector import LeapsDetector
+from repro.etw.capture import ChunkEncoder
+from repro.etw.events import event_columns
 from repro.etw.fastparse import parse_fast
 from repro.etw.recovery import ParseReport
 from repro.serve import ModelRegistry, start_in_thread
-from repro.serve.columnar import encode_event_stream
 from repro.serve.protocol import (
     FRAME_DATA,
     FRAME_DATA_COLUMNAR,
@@ -139,10 +140,12 @@ def build_variants(
         ]
         # the columnar client: parse locally, ship chunks + the report
         report = ParseReport()
-        events = parse_fast(lines, policy="drop", report=report)
-        chunks = encode_event_stream(
-            events, report, chunk_events=COLUMNAR_CHUNK_EVENTS
+        events = parse_fast(lines, policy="drop", report=report, columns=True)
+        encoder = ChunkEncoder()
+        chunks = encoder.encode_stream(
+            event_columns(events), COLUMNAR_CHUNK_EVENTS
         )
+        chunks.append(encoder.encode_report(report))
         columnar_frames = [
             pack_frame(FRAME_DATA_COLUMNAR, chunk) for chunk in chunks
         ]

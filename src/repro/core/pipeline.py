@@ -49,7 +49,7 @@ import numpy as np
 from repro.core.cfg_inference import CFG, CFGInferencer
 from repro.core.config import LeapsConfig
 from repro.core.weights import WeightAssessor
-from repro.etw.events import EventColumns, EventLog, EventRecord
+from repro.etw.events import EventColumns, EventLog, EventRecord, event_columns
 from repro.etw.fastparse import StreamingParser, parse_fast
 from repro.etw.parser import RawLogParser
 from repro.etw.recovery import ParseReport
@@ -100,18 +100,6 @@ class PreparedTraining:
 
 class NotTrainedError(RuntimeError):
     pass
-
-
-def event_columns(events: Sequence[EventRecord]) -> EventColumns:
-    """The interned columns of an event sequence, for the batch scorer:
-    a deferred capture log's columns, a parse's sidecar, or the columns
-    of the records themselves."""
-    if isinstance(events, EventLog):
-        if events.unbuilt_columns is not None:
-            return events.unbuilt_columns
-        if events.columns is not None and events.columns.n_events == len(events):
-            return events.columns
-    return EventColumns.from_records(events)
 
 
 class StreamChunker:

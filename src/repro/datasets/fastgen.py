@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -636,15 +636,12 @@ def to_event_columns(
     type_ids: np.ndarray,
     timestamps: np.ndarray,
 ) -> EventColumns:
-    """Assemble an :class:`EventColumns` for the capture writer.
-
-    Vocabularies and the distinct-walk list follow first-appearance
-    order over the events (the writer's invariant); since every event
-    of one emission type is identical up to eid/timestamp, first
-    appearance over events equals first appearance over emission types
-    ordered by their first event.
-    """
+    """Assemble an :class:`EventColumns` for the capture writer: the
+    category, name and walk ids are the emission type ids themselves,
+    over the table's per-type lists (the chunk encoder interns the
+    distinct values in first-appearance order)."""
     n = len(type_ids)
+    type_ids = np.asarray(type_ids, dtype=np.int64)
     cols = EventColumns()
     cols.n_events = n
     cols.eid = np.arange(n, dtype=np.int64)
@@ -654,42 +651,8 @@ def to_event_columns(
     cols.opcode = table.opcodes[type_ids]
     cols.process_vocab = [table.process]
     cols.process_id = np.zeros(n, dtype=np.int64)
-
-    uniq, first = np.unique(type_ids, return_index=True)
-    order = uniq[np.argsort(first)]
-
-    n_types = len(table.names)
-    category_map = np.zeros(n_types, dtype=np.int64)
-    name_map = np.zeros(n_types, dtype=np.int64)
-    walk_map = np.zeros(n_types, dtype=np.int64)
-    category_vocab: Dict[str, int] = {}
-    name_vocab: Dict[str, int] = {}
-    walk_table: Dict[Tuple[StackFrame, ...], int] = {}
-    walks: List[Tuple[StackFrame, ...]] = []
-    for type_id in order.tolist():
-        category = table.categories[type_id]
-        index = category_vocab.get(category)
-        if index is None:
-            index = len(category_vocab)
-            category_vocab[category] = index
-        category_map[type_id] = index
-        name = table.names[type_id]
-        index = name_vocab.get(name)
-        if index is None:
-            index = len(name_vocab)
-            name_vocab[name] = index
-        name_map[type_id] = index
-        walk = table.walks[type_id]
-        index = walk_table.get(walk)
-        if index is None:
-            index = len(walks)
-            walk_table[walk] = index
-            walks.append(walk)
-        walk_map[type_id] = index
-    cols.category_id = category_map[type_ids]
-    cols.name_id = name_map[type_ids]
-    cols.walk_id = walk_map[type_ids]
-    cols.category_vocab = list(category_vocab)
-    cols.name_vocab = list(name_vocab)
-    cols.walks = walks
+    cols.category_id = cols.name_id = cols.walk_id = type_ids
+    cols.category_vocab = table.categories
+    cols.name_vocab = table.names
+    cols.walks = table.walks
     return cols

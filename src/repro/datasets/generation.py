@@ -20,8 +20,8 @@ Two engines, one output
 ``engine="fast"`` (default) synthesizes sessions as numpy columns via
 :mod:`repro.datasets.fastgen` and writes text/captures from column
 blocks; ``engine="naive"`` replays the original per-event tracer.  The
-naive engine is retained as the byte-identity oracle (the
-``write_capture_naive`` pattern): for any ``(spec, seed, sizes)`` both
+naive engine is retained as the byte-identity oracle: for any
+``(spec, seed, sizes)`` both
 engines write byte-identical logs, captures, and labels, for any
 ``n_jobs`` — ``tests/test_fastgen.py`` and ``benchmarks/bench_table1.py``
 enforce it.
@@ -78,7 +78,7 @@ from repro.datasets.fastgen import (
     segment_bounds,
     to_event_columns,
 )
-from repro.etw.capture import CAPTURE_SUFFIX, write_capture_columns, write_capture_naive
+from repro.etw.capture import CAPTURE_SUFFIX, write_capture, write_capture_columns
 from repro.etw.events import EventRecord
 from repro.etw.parser import serialize_events
 from repro.winsys.process import EventTracer, WindowsMachine
@@ -484,7 +484,7 @@ def generate_dataset(
     dst.mkdir(parents=True, exist_ok=True)
     generator = ScenarioGenerator(spec, seed)
     write_text = format in ("text", "both")
-    write_capture = format in ("capture", "both")
+    emit_capture = format in ("capture", "both")
 
     plans = [
         ("benign.log", train_events, 0.0, ""),
@@ -509,8 +509,8 @@ def generate_dataset(
                     attack_eids = []
                 if write_text:
                     _write_log(log_path, events)
-                if write_capture:
-                    write_capture_naive(capture_path, events, source=source)
+                if emit_capture:
+                    write_capture(capture_path, events, source=source)
                 n_total = len(events)
             else:
                 if build_id:
@@ -526,7 +526,7 @@ def generate_dataset(
                         log_path,
                         _render_session_text(synth, segment, pool),
                     )
-                if write_capture:
+                if emit_capture:
                     cols = to_event_columns(
                         synth.table, segment.type_ids, segment.timestamps
                     )
@@ -537,7 +537,7 @@ def generate_dataset(
                 n_events=n_total,
                 attack_eids=tuple(int(eid) for eid in attack_eids),
                 build_id=build_id,
-                capture_path=capture_path if write_capture else None,
+                capture_path=capture_path if emit_capture else None,
             )
     finally:
         if pool is not None:

@@ -1,63 +1,76 @@
-"""Versioned binary columnar capture format — parse once, scan forever.
+"""The column codec: ``.leapscap`` captures and the serve wire's chunks.
 
 A fleet-scale LEAPS deployment re-reads the same telemetry text for
-every scan, so tokenizing dominates end-to-end time (BENCH_ingest).  A
-*capture* is the one-time columnar form of a parsed raw log: a
+every scan, so tokenizing dominates end-to-end time.  This module owns
+the one binary form of parsed events, used both on disk and on the
+wire (DESIGN.md §11, §12).
+
+Chunk stream
+------------
+Events travel as self-delimiting *chunks* (header big-endian like the
+frame protocol, body arrays little-endian int64 — the explicit ``<i8``
+keeps the bytes independent of either machine)::
+
+    +------+-----+------+-------------+----------------+
+    | "LC" | ver | kind | body_len u32| body           |
+    +------+-----+------+-------------+----------------+
+
+A chunk stores **deltas against everything the stream has already
+carried**: string vocabularies, the frame table and the walk table grow
+monotonically, and every per-event cell is an index into those
+cumulative tables.  Each distinct string, frame and walk is therefore
+written exactly once per stream.  ``kind`` 1 (events) body, in order:
+
+* ``u32 n_events``
+* five vocabulary deltas (process, category, name, module, function):
+  ``u32 n_new``, ``u32 blob_len``, then the new entries joined by
+  ``"\\n"`` with a trailing ``"\\n"`` (absent when ``n_new == 0``).
+  Field values never contain a newline
+  (:func:`repro.etw.events._check_field`), so the join is lossless;
+* frame-table delta: ``u32 n_new``, then ``int64[n]`` stack index,
+  module id, function id, one ``u8`` address-dtype flag (0 = int64,
+  1 = uint64), and the ``n`` addresses;
+* walk-table delta: ``u32 n_new_walks``, ``u32 n_flat``, then
+  ``int64[n_flat]`` flattened frame ids and ``int64[n_new_walks]``
+  per-walk lengths;
+* nine ``int64[n_events]`` event columns: eid, timestamp, pid, tid,
+  opcode, process_id, category_id, name_id, walk_id.
+
+``kind`` 2 (report) body is the UTF-8 JSON of a
+:class:`~repro.etw.recovery.ParseReport`: a serve client's local parse
+accounting rides the wire so a columnar stream's result is
+bit-identical to the text path's.
+
+:class:`ChunkEncoder` and :class:`CaptureChunkDecoder` are a stateful
+pair: both sides grow the same cumulative tables in the same order.
+The encoder reads :class:`~repro.etw.events.EventColumns` and interns
+each distinct id once, in first-appearance order; the per-event work is
+numpy gathers.  The decoder validates every id and length and returns
+each events chunk as ``EventColumns`` over the cumulative tables, with
+frames from the parser's process-wide intern table — the form the
+featurizer reads, so no record is ever built.
+
+Captures
+--------
+A *capture* is the one-time columnar form of a parsed raw log: a
 ``<name>.leapscap`` directory holding
 
 ``capture.json``
-    Schema version (``leaps-capture/v1``), entity counts, provenance of
+    Schema version (``leaps-capture/v2``), entity counts, provenance of
     the conversion (source path, parse policy), and the full
     :class:`~repro.etw.recovery.ParseReport` of the parse that produced
     the events — recovery accounting survives the binary detour.
-``arrays.npz``
-    The events in columnar form, exact:
+``events.lc``
+    Exactly the events chunks a fresh :class:`ChunkEncoder` writes for
+    the log, cut every :data:`DEFAULT_CHUNK_EVENTS` events: a capture is the
+    chunk stream a serve client would send, with no report chunk.
 
-    ============================  ======== =========================================
-    array                         dtype    meaning
-    ============================  ======== =========================================
-    ``eid, timestamp, pid,``      int64    per-event integer columns
-    ``tid, opcode``
-    ``process_id, category_id,``  int64    per-event index into the string vocabulary
-    ``name_id``
-    ``walk_id``                   int64    per-event index into the walk table
-    ``frame_index``               int64    per unique frame: its stack index
-    ``frame_module_id,``          int64    per unique frame: vocabulary indices
-    ``frame_function_id``
-    ``frame_address``             (u)int64 per unique frame: return address
-    ``walk_frame_ids``            int64    all walks, flattened frame indices
-    ``walk_offsets``              int64    walk *w* is ``walk_frame_ids[o[w]:o[w+1]]``
-    ``vocab_*``                   str      newline-joined unique strings (see below)
-    ============================  ======== =========================================
-
-String vocabularies (``vocab_process``, ``vocab_category``,
-``vocab_name``, ``vocab_module``, ``vocab_function``) are stored as one
-newline-joined scalar with a trailing ``"\\n"`` sentinel rather than a
-fixed-width unicode array: field values can never contain a newline
-(:func:`repro.etw.events._check_field` rejects it at construction), the
-join is therefore lossless, and it sidesteps both the quadratic memory
-of width-padded arrays and numpy's silent stripping of trailing NUL
-characters.  ``frame_address`` is written as int64 when every address
-fits, uint64 otherwise — readers just widen to Python ints.
-
-Stack walks are deduplicated: real fleets collapse millions of events
-onto a few hundred distinct walks, so per-event storage is nine int64
-cells regardless of stack depth, and the reader materializes each
-distinct walk tuple exactly once.  Frames come out of the parser's
-process-wide intern table, so records built from a capture hold the
-same frame objects as after a text parse.
-
-The reader returns the validated arrays as interned columns
-(:class:`~repro.etw.events.EventColumns`) plus the per-capture walk
-table; batch scans score those directly.  ``Capture.events`` is a
-deferred :class:`~repro.etw.events.EventLog` whose records are built on
-first use, so a scan never builds them.
-
-Reading validates before trusting: schema string, id ranges, offset
-monotonicity, and vocabulary strings free of raw-log delimiters.  A
-capture that fails validation raises :class:`CaptureError` (or
-:class:`CaptureVersionError` for a schema mismatch) — a scanner must
-never silently misinterpret a capture written by a newer converter.
+:func:`load_capture` checks the schema and runs the decoder over the
+file's bytes: every byte must belong to a whole events chunk, and any
+failure raises :class:`CaptureError` (:class:`CaptureVersionError` for a
+schema mismatch, including ``leaps-capture/v1`` directories).
+``Capture.events`` is a deferred :class:`~repro.etw.events.EventLog`
+whose records are built on first use, so a scan never builds them.
 """
 
 from __future__ import annotations
@@ -65,36 +78,59 @@ from __future__ import annotations
 import gc
 import json
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
+from repro.etw.events import EventColumns, EventLog, EventRecord, event_columns
 from repro.etw.parser import intern_frame, read_log_lines
 from repro.etw.recovery import ParseReport
 
 #: Capture schema identifier; bump the suffix on incompatible changes.
-SCHEMA = "leaps-capture/v1"
+SCHEMA = "leaps-capture/v2"
 
 #: Directory suffix marking a path as a columnar capture.
 CAPTURE_SUFFIX = ".leapscap"
 
 JSON_NAME = "capture.json"
-NPZ_NAME = "arrays.npz"
+EVENTS_NAME = "events.lc"
+
+#: events per chunk in a capture file and by default on the wire
+DEFAULT_CHUNK_EVENTS = 8192
+
+CHUNK_MAGIC = b"LC"
+CHUNK_VERSION = 1
+
+#: chunk kinds
+CHUNK_EVENTS = 1
+CHUNK_REPORT = 2
+
+_CHUNK_HEADER = struct.Struct(">2sBBI")
+CHUNK_HEADER_SIZE = _CHUNK_HEADER.size
+
+#: refuse absurd chunk bodies before buffering for them (matches the
+#: frame-level cap in :mod:`repro.serve.protocol`)
+MAX_CHUNK_BODY = 64 * 1024 * 1024
+
+_U32 = struct.Struct("<I")
+_U8 = struct.Struct("B")
+_I64 = np.dtype("<i8")
+_U64 = np.dtype("<u8")
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 _UINT64_MAX = 2**64 - 1
 
+#: vocabulary serialization order; must never change within a version
 _VOCAB_NAMES = ("process", "category", "name", "module", "function")
 
-#: every array member except the vocabularies
-_INT_ARRAYS = (
-    "eid", "timestamp", "pid", "tid", "opcode", "process_id", "category_id",
-    "name_id", "walk_id", "frame_index", "frame_module_id",
-    "frame_function_id", "frame_address", "walk_frame_ids", "walk_offsets",
+#: per-event columns, in serialization order
+_EVENT_COLUMNS = (
+    "eid", "timestamp", "pid", "tid", "opcode",
+    "process_id", "category_id", "name_id", "walk_id",
 )
 
 
@@ -104,6 +140,10 @@ class CaptureError(RuntimeError):
 
 class CaptureVersionError(CaptureError):
     """The capture's schema version is not one this code understands."""
+
+
+class ChunkError(RuntimeError):
+    """A chunk failed validation — the stream cannot be trusted."""
 
 
 def is_capture_path(path: Union[str, os.PathLike]) -> bool:
@@ -127,315 +167,525 @@ class Capture:
     columns: EventColumns
 
 
-# -- writing ----------------------------------------------------------
+# -- encoding ----------------------------------------------------------
 
 
-def _int_column(name: str, values: Sequence[int]) -> np.ndarray:
-    if any(v < _INT64_MIN or v > _INT64_MAX for v in values):
-        raise CaptureError(f"{name} value out of int64 range")
-    return np.array(values, dtype=np.int64)
-
-
-def _address_column(values: Sequence[int]) -> np.ndarray:
-    if not values:
-        return np.zeros(0, dtype=np.int64)
-    low, high = min(values), max(values)
-    if _INT64_MIN <= low and high <= _INT64_MAX:
-        return np.array(values, dtype=np.int64)
-    if 0 <= low and high <= _UINT64_MAX:
-        return np.array(values, dtype=np.uint64)
-    raise CaptureError("frame address out of 64-bit range")
-
-
-def _join_vocab(name: str, strings: Sequence[str]) -> str:
-    for value in strings:
-        # Construction-time validation normally guarantees this, but
-        # events built by trusted fast paths bypass __init__ — recheck
-        # before the newline join becomes the storage format.
+def _encode_vocab_delta(name: str, new_entries: List[str]) -> bytes:
+    if not new_entries:
+        return _U32.pack(0) + _U32.pack(0)
+    for value in new_entries:
+        # construction-time validation normally guarantees this, but
+        # trusted fast paths bypass __init__: recheck before the newline
+        # join becomes the storage format
         if "\n" in value or "\r" in value or "|" in value:
-            raise CaptureError(
+            raise ChunkError(
                 f"vocab_{name} entry {value!r} contains a raw-log delimiter"
             )
-    return "\n".join(strings) + "\n" if strings else ""
+    blob = ("\n".join(new_entries) + "\n").encode("utf-8")
+    return _U32.pack(len(new_entries)) + _U32.pack(len(blob)) + blob
 
 
-def _split_vocab(raw: object, name: str) -> List[str]:
-    text = str(raw)
-    if text == "":
-        return []
-    if not text.endswith("\n"):
-        raise CaptureError(f"vocab_{name} is missing its trailing sentinel")
-    entries = text.split("\n")
-    entries.pop()
-    return entries
+def _int64_bytes(values, what: str) -> bytes:
+    try:
+        return np.asarray(values, dtype=_I64).tobytes()
+    except OverflowError:
+        raise ChunkError(f"{what} value out of int64 range") from None
 
 
-def _finalize_capture(
-    path: Path,
-    arrays: dict,
-    vocabs: dict,
-    counts: dict,
-    report: Optional[ParseReport],
-    source: Optional[dict],
-) -> Path:
-    """Shared write tail: vocab joins, metadata document, and the two
-    on-disk members.  Every writer funnels through here, so metadata
-    bytes cannot drift between the naive, vectorized, and columnar
-    entry points."""
-    for name, strings in vocabs.items():
-        arrays[f"vocab_{name}"] = _join_vocab(name, strings)
-    meta = {
-        "schema": SCHEMA,
-        "counts": {
-            **counts,
-            **{
-                f"vocab_{name}": len(strings)
-                for name, strings in vocabs.items()
-            },
-        },
-        "source": source,
-        "parse_report": None if report is None else report.to_dict(),
-    }
-    path.mkdir(parents=True, exist_ok=True)
-    (path / JSON_NAME).write_text(json.dumps(meta, indent=2) + "\n")
-    np.savez(path / NPZ_NAME, **arrays)
-    return path
+def _remap(local_ids, intern) -> np.ndarray:
+    """``local_ids`` mapped through ``intern``, which is called once per
+    distinct id in first-appearance order — the order in which the
+    cumulative tables grow."""
+    local_ids = np.asarray(local_ids, dtype=np.int64)
+    distinct, first, inverse = np.unique(
+        local_ids, return_index=True, return_inverse=True
+    )
+    rank = np.argsort(first)
+    mapped = np.empty(len(distinct), dtype=np.int64)
+    mapped[rank] = [intern(local) for local in distinct[rank].tolist()]
+    return mapped[inverse.reshape(-1)]
+
+
+class ChunkEncoder:
+    """Chunk writer; one instance per stream or capture file (ids are
+    cumulative across every chunk it has encoded)."""
+
+    def __init__(self):
+        self._vocabs = {name: {} for name in _VOCAB_NAMES}
+        self._frames: dict = {}
+        self._walks: dict = {}
+
+    @property
+    def counts(self) -> dict:
+        """Sizes of the cumulative frame, walk and vocabulary tables."""
+        return {
+            "frames": len(self._frames),
+            "walks": len(self._walks),
+            **{f"vocab_{name}": len(table) for name, table in self._vocabs.items()},
+        }
+
+    def encode_columns(self, columns: EventColumns) -> bytes:
+        """One events chunk covering ``columns``, including whatever
+        vocab/frame/walk entries they introduce.  ``columns`` needs only
+        ids that index its vocabularies and walk table; each distinct id
+        is interned once and the per-event ids are gathered by numpy."""
+        vocabs = self._vocabs
+        frames = self._frames
+        walks = self._walks
+        new_vocab = {name: [] for name in _VOCAB_NAMES}
+        new_frames: List[Tuple[int, int, int, int]] = []
+        new_walk_flat: List[int] = []
+        new_walk_lens: List[int] = []
+
+        def vocab_id(name: str, value: str) -> int:
+            table = vocabs[name]
+            index = table.get(value)
+            if index is None:
+                index = table[value] = len(table)
+                new_vocab[name].append(value)
+            return index
+
+        def walk_id(walk) -> int:
+            index = walks.get(walk)
+            if index is None:
+                for frame in walk:
+                    frame_id = frames.get(frame)
+                    if frame_id is None:
+                        frame_id = frames[frame] = len(frames)
+                        new_frames.append(
+                            (
+                                frame.index,
+                                vocab_id("module", frame.module),
+                                vocab_id("function", frame.function),
+                                frame.address,
+                            )
+                        )
+                    new_walk_flat.append(frame_id)
+                index = walks[walk] = len(walks)
+                new_walk_lens.append(len(walk))
+            return index
+
+        process_id = _remap(
+            columns.process_id,
+            lambda local: vocab_id("process", columns.process_vocab[local]),
+        )
+        category_id = _remap(
+            columns.category_id,
+            lambda local: vocab_id("category", columns.category_vocab[local]),
+        )
+        name_id = _remap(
+            columns.name_id,
+            lambda local: vocab_id("name", columns.name_vocab[local]),
+        )
+        walk_ids = _remap(
+            columns.walk_id, lambda local: walk_id(columns.walks[local])
+        )
+
+        addresses = [row[3] for row in new_frames]
+        if addresses and (
+            min(addresses) < _INT64_MIN or max(addresses) > _INT64_MAX
+        ):
+            if min(addresses) < 0 or max(addresses) > _UINT64_MAX:
+                raise ChunkError("frame address out of 64-bit range")
+            addr_flag, addr_bytes = 1, np.array(addresses, dtype=_U64).tobytes()
+        else:
+            addr_flag = 0
+            addr_bytes = _int64_bytes(addresses, "frame address")
+
+        parts = [_U32.pack(columns.n_events)]
+        for name in _VOCAB_NAMES:
+            parts.append(_encode_vocab_delta(name, new_vocab[name]))
+        parts.append(_U32.pack(len(new_frames)))
+        parts.append(_int64_bytes([r[0] for r in new_frames], "frame index"))
+        parts.append(_int64_bytes([r[1] for r in new_frames], "frame module"))
+        parts.append(_int64_bytes([r[2] for r in new_frames], "frame function"))
+        parts.append(_U8.pack(addr_flag))
+        parts.append(addr_bytes)
+        parts.append(_U32.pack(len(new_walk_lens)))
+        parts.append(_U32.pack(len(new_walk_flat)))
+        parts.append(_int64_bytes(new_walk_flat, "walk frame id"))
+        parts.append(_int64_bytes(new_walk_lens, "walk length"))
+        for column, what in (
+            (columns.eid, "eid"),
+            (columns.timestamp, "timestamp"),
+            (columns.pid, "pid"),
+            (columns.tid, "tid"),
+            (columns.opcode, "opcode"),
+            (process_id, "process_id"),
+            (category_id, "category_id"),
+            (name_id, "name_id"),
+            (walk_ids, "walk_id"),
+        ):
+            parts.append(_int64_bytes(column, what))
+        body = b"".join(parts)
+        return (
+            _CHUNK_HEADER.pack(
+                CHUNK_MAGIC, CHUNK_VERSION, CHUNK_EVENTS, len(body)
+            )
+            + body
+        )
+
+    def encode_events(self, events: Sequence[EventRecord]) -> bytes:
+        """:meth:`encode_columns` of a record list."""
+        return self.encode_columns(EventColumns.from_records(events))
+
+    def encode_stream(
+        self, columns: EventColumns, chunk_events: int = DEFAULT_CHUNK_EVENTS
+    ) -> List[bytes]:
+        """``columns`` as events chunks of ``chunk_events`` events each
+        (the last one may be shorter; no events, no chunks)."""
+        step = max(1, int(chunk_events))
+        return [
+            self.encode_columns(_column_slice(columns, start, start + step))
+            for start in range(0, columns.n_events, step)
+        ]
+
+    def encode_report(self, report: ParseReport) -> bytes:
+        """One report chunk carrying the client's parse accounting."""
+        body = json.dumps(
+            report.to_dict(), separators=(",", ":")
+        ).encode("utf-8")
+        return (
+            _CHUNK_HEADER.pack(
+                CHUNK_MAGIC, CHUNK_VERSION, CHUNK_REPORT, len(body)
+            )
+            + body
+        )
+
+
+def _column_slice(columns: EventColumns, start: int, stop: int) -> EventColumns:
+    """Events ``[start, stop)`` of ``columns`` over the same tables."""
+    if start == 0 and stop >= columns.n_events:
+        return columns
+    part = EventColumns()
+    for name in _EVENT_COLUMNS:
+        setattr(part, name, getattr(columns, name)[start:stop])
+    part.n_events = len(part.eid)
+    part.process_vocab = columns.process_vocab
+    part.category_vocab = columns.category_vocab
+    part.name_vocab = columns.name_vocab
+    part.walks = columns.walks
+    return part
+
+
+# -- decoding ----------------------------------------------------------
+
+
+class _Cursor:
+    """Bounds-checked reader over one chunk body."""
+
+    __slots__ = ("view", "offset", "end")
+
+    def __init__(self, view: memoryview):
+        self.view = view
+        self.offset = 0
+        self.end = len(view)
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n < 0 or self.end - self.offset < n:
+            raise ChunkError(f"chunk body truncated reading {what}")
+        piece = self.view[self.offset : self.offset + n]
+        self.offset += n
+        return piece
+
+    def u32(self, what: str) -> int:
+        return _U32.unpack(self.take(4, what))[0]
+
+    def u8(self, what: str) -> int:
+        return self.take(1, what)[0]
+
+    def int64s(self, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self.take(count * 8, what), dtype=_I64, count=count)
+
+    def done(self) -> bool:
+        return self.offset == self.end
+
+
+def _chunk_end(data, offset: int) -> Optional[int]:
+    """End offset of the chunk whose header starts at ``offset``, or
+    ``None`` while ``data`` does not hold all of it; the header is
+    validated as soon as it is complete."""
+    if len(data) - offset < CHUNK_HEADER_SIZE:
+        return None
+    magic, version, _, body_len = _CHUNK_HEADER.unpack_from(data, offset)
+    if magic != CHUNK_MAGIC:
+        raise ChunkError(f"bad chunk magic {bytes(magic)!r}")
+    if version != CHUNK_VERSION:
+        raise ChunkError(
+            f"chunk version {version} is not supported "
+            f"(expected {CHUNK_VERSION})"
+        )
+    if body_len > MAX_CHUNK_BODY:
+        raise ChunkError(f"chunk body of {body_len} bytes exceeds cap")
+    end = offset + CHUNK_HEADER_SIZE + body_len
+    return end if end <= len(data) else None
+
+
+class CaptureChunkDecoder:
+    """Chunk reader; one instance per stream or capture file.
+
+    :meth:`decode` reads a byte string of whole chunks (a capture's
+    ``events.lc``) without copying it; :meth:`feed` accepts wire
+    fragments cut at *any* boundary and decodes whatever whole chunks
+    they complete.  Both return ``(columns, reports)``: one
+    :class:`EventColumns` per events chunk.  State (vocabularies,
+    interned frames, walk tuples) accumulates across chunks, mirroring
+    the encoder; every chunk's columns index the cumulative tables.
+    """
+
+    def __init__(self):
+        self._buffer = bytearray()
+        self._vocabs = {name: [] for name in _VOCAB_NAMES}
+        self._frames: list = []
+        self._walks: list = []
+
+    @property
+    def buffered_bytes(self) -> int:
+        """Bytes received but not yet part of a complete chunk — a
+        nonzero value at END means the client cut a chunk short."""
+        return len(self._buffer)
+
+    def feed(
+        self, data: bytes
+    ) -> Tuple[List[EventColumns], List[ParseReport]]:
+        """Buffer ``data`` and decode every now-complete chunk."""
+        buffer = self._buffer
+        buffer.extend(data)
+        end = 0
+        while True:
+            chunk_end = _chunk_end(buffer, end)
+            if chunk_end is None:
+                break
+            end = chunk_end
+        if not end:
+            return [], []
+        # the decoded columns are views into their bytes: copy the whole
+        # chunks out of the buffer, once, so it stays resizable
+        whole = bytes(memoryview(buffer)[:end])
+        del buffer[:end]
+        return self.decode(whole)
+
+    def decode(
+        self, data: bytes
+    ) -> Tuple[List[EventColumns], List[ParseReport]]:
+        """Decode ``data``, which must be whole chunks to its last byte."""
+        view = memoryview(data)
+        blocks: List[EventColumns] = []
+        reports: List[ParseReport] = []
+        offset = 0
+        while offset < len(view):
+            end = _chunk_end(view, offset)
+            if end is None:
+                raise ChunkError(
+                    f"{len(view) - offset} bytes of an incomplete chunk "
+                    "at the end"
+                )
+            kind = view[offset + 3]
+            body = view[offset + CHUNK_HEADER_SIZE : end]
+            if kind == CHUNK_EVENTS:
+                blocks.append(self._decode_events(body))
+            elif kind == CHUNK_REPORT:
+                reports.append(self._decode_report(body))
+            else:
+                raise ChunkError(f"unknown chunk kind {kind}")
+            offset = end
+        return blocks, reports
+
+    # -- internals -----------------------------------------------------
+    def _decode_report(self, body: memoryview) -> ParseReport:
+        try:
+            doc = json.loads(str(body, "utf-8"))
+            return ParseReport.from_dict(doc)
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
+                TypeError, ValueError, AttributeError) as error:
+            raise ChunkError(f"bad report chunk: {error}") from error
+
+    def _read_vocab_delta(self, cursor: _Cursor, name: str) -> None:
+        n_new = cursor.u32(f"vocab_{name} count")
+        blob_len = cursor.u32(f"vocab_{name} blob length")
+        blob = cursor.take(blob_len, f"vocab_{name} blob")
+        if n_new == 0:
+            if blob_len:
+                raise ChunkError(f"vocab_{name} has bytes but no entries")
+            return
+        try:
+            text = str(blob, "utf-8")
+        except UnicodeDecodeError as error:
+            raise ChunkError(f"vocab_{name} blob is not UTF-8") from error
+        if not text.endswith("\n"):
+            raise ChunkError(f"vocab_{name} blob missing trailing sentinel")
+        entries = text.split("\n")
+        entries.pop()
+        if len(entries) != n_new:
+            raise ChunkError(
+                f"vocab_{name} declares {n_new} entries, blob has "
+                f"{len(entries)}"
+            )
+        for value in entries:
+            if "|" in value or "\r" in value:
+                raise ChunkError(
+                    f"vocab_{name} entry {value!r} contains a raw-log "
+                    "delimiter"
+                )
+        self._vocabs[name].extend(entries)
+
+    def _decode_events(self, view: memoryview) -> EventColumns:
+        cursor = _Cursor(view)
+        n_events = cursor.u32("event count")
+        for name in _VOCAB_NAMES:
+            self._read_vocab_delta(cursor, name)
+
+        vocabs = self._vocabs
+        modules = vocabs["module"]
+        functions = vocabs["function"]
+
+        n_new_frames = cursor.u32("frame count")
+        frame_index = cursor.int64s(n_new_frames, "frame index")
+        frame_module = cursor.int64s(n_new_frames, "frame module ids")
+        frame_function = cursor.int64s(n_new_frames, "frame function ids")
+        addr_flag = cursor.u8("frame address dtype")
+        if addr_flag not in (0, 1):
+            raise ChunkError(f"bad frame address dtype flag {addr_flag}")
+        addr_raw = cursor.take(n_new_frames * 8, "frame addresses")
+        addresses = np.frombuffer(
+            addr_raw, dtype=_U64 if addr_flag else _I64, count=n_new_frames
+        )
+
+        n_new_walks = cursor.u32("walk count")
+        n_flat = cursor.u32("walk flat length")
+        walk_flat = cursor.int64s(n_flat, "walk frame ids")
+        walk_lens = cursor.int64s(n_new_walks, "walk lengths")
+
+        columns = EventColumns()
+        columns.n_events = n_events
+        for what in _EVENT_COLUMNS:
+            setattr(columns, what, cursor.int64s(n_events, what))
+        if not cursor.done():
+            raise ChunkError(
+                f"{cursor.end - cursor.offset} trailing bytes in events chunk"
+            )
+
+        # -- validate ids against the cumulative tables ----------------
+        frames = self._frames
+        walks = self._walks
+        if not _in_range(frame_module, len(modules)):
+            raise ChunkError("frame module id out of range")
+        if not _in_range(frame_function, len(functions)):
+            raise ChunkError("frame function id out of range")
+        # each length in [0, n_flat] keeps the int64 sum exact
+        if not _in_range(walk_lens, n_flat + 1) or int(walk_lens.sum()) != n_flat:
+            raise ChunkError("walk lengths do not cover the flat frame ids")
+        if not _in_range(walk_flat, len(frames) + n_new_frames):
+            raise ChunkError("walk frame id out of range")
+        for what, bound in (
+            ("process_id", len(vocabs["process"])),
+            ("category_id", len(vocabs["category"])),
+            ("name_id", len(vocabs["name"])),
+            ("walk_id", len(walks) + n_new_walks),
+        ):
+            if not _in_range(getattr(columns, what), bound):
+                raise ChunkError(f"{what} out of range [0, {bound})")
+
+        # -- grow the frame and walk tables ----------------------------
+        for index, module, function, address in zip(
+            frame_index.tolist(),
+            frame_module.tolist(),
+            frame_function.tolist(),
+            addresses.tolist(),
+        ):
+            frames.append(
+                intern_frame(index, modules[module], functions[function], address)
+            )
+        flat = walk_flat.tolist()
+        offset = 0
+        for length in walk_lens.tolist():
+            walks.append(
+                tuple(frames[frame_id] for frame_id in flat[offset : offset + length])
+            )
+            offset += length
+        columns.process_vocab = vocabs["process"]
+        columns.category_vocab = vocabs["category"]
+        columns.name_vocab = vocabs["name"]
+        columns.walks = walks
+        return columns
+
+
+def _in_range(column: np.ndarray, bound: int) -> bool:
+    """Every id of ``column`` lies in ``[0, bound)``."""
+    return not len(column) or (int(column.min()) >= 0 and int(column.max()) < bound)
+
+
+def _joined(blocks: List[EventColumns]) -> EventColumns:
+    """One :class:`EventColumns` over consecutive decoded chunks (they
+    share the decoder's cumulative tables)."""
+    if len(blocks) == 1:
+        return blocks[0]
+    columns = EventColumns()
+    for name in _EVENT_COLUMNS:
+        setattr(
+            columns,
+            name,
+            np.concatenate([getattr(block, name) for block in blocks])
+            if blocks
+            else np.zeros(0, dtype=_I64),
+        )
+    columns.n_events = len(columns.eid)
+    if blocks:
+        last = blocks[-1]
+        columns.process_vocab = last.process_vocab
+        columns.category_vocab = last.category_vocab
+        columns.name_vocab = last.name_vocab
+        columns.walks = last.walks
+    return columns
+
+
+# -- capture files -----------------------------------------------------
 
 
 def captures_byte_identical(
     a: Union[str, os.PathLike], b: Union[str, os.PathLike]
 ) -> bool:
-    """Whether two captures hold identical bytes, member by member.
-
-    ``arrays.npz`` is a zip whose entry *timestamps* vary run to run,
-    so whole-file comparison spuriously fails; metadata and every array
-    member are compared instead (the equality that actually matters).
-    """
-    import zipfile
-
+    """Whether two captures hold identical metadata and event bytes."""
     a, b = Path(os.fspath(a)), Path(os.fspath(b))
-    if (a / JSON_NAME).read_bytes() != (b / JSON_NAME).read_bytes():
-        return False
-    with zipfile.ZipFile(a / NPZ_NAME) as zip_a, zipfile.ZipFile(
-        b / NPZ_NAME
-    ) as zip_b:
-        if zip_a.namelist() != zip_b.namelist():
-            return False
-        return all(
-            zip_a.read(name) == zip_b.read(name)
-            for name in zip_a.namelist()
-        )
+    return all(
+        (a / name).read_bytes() == (b / name).read_bytes()
+        for name in (JSON_NAME, EVENTS_NAME)
+    )
 
 
-def write_capture_naive(
+def write_capture_columns(
     path: Union[str, os.PathLike],
-    events: Sequence[EventRecord],
+    cols: EventColumns,
     *,
     report: Optional[ParseReport] = None,
     source: Optional[dict] = None,
 ) -> Path:
-    """The original per-event-loop capture writer, retained as the
-    byte-identity reference for :func:`write_capture` (every array and
-    metadata byte must match; see tests/test_capture.py)."""
+    """Serialize an :class:`~repro.etw.events.EventColumns` to a capture
+    directory ``path``: the chunks of a fresh :class:`ChunkEncoder` in
+    ``events.lc``, counts and provenance in ``capture.json``.
+
+    Creates the directory (and parents) if needed; overwrites an
+    existing capture in place.  Returns the capture path.  The
+    generation fast path writes its column blocks here without ever
+    materializing an ``EventRecord`` or a line of text.
+    """
     path = Path(os.fspath(path))
-
-    vocabs: dict = {name: {} for name in _VOCAB_NAMES}
-
-    def vocab_id(name: str, value: str) -> int:
-        table = vocabs[name]
-        index = table.get(value)
-        if index is None:
-            index = len(table)
-            table[value] = index
-        return index
-
-    eid: List[int] = []
-    timestamp: List[int] = []
-    pid: List[int] = []
-    tid: List[int] = []
-    opcode: List[int] = []
-    process_id: List[int] = []
-    category_id: List[int] = []
-    name_id: List[int] = []
-    walk_id: List[int] = []
-
-    frame_ids: dict = {}
-    frame_rows: List[Tuple[int, int, int, int]] = []
-    walk_ids: dict = {}
-    walk_frame_ids: List[int] = []
-    walk_offsets: List[int] = [0]
-
-    for event in events:
-        eid.append(event.eid)
-        timestamp.append(event.timestamp)
-        pid.append(event.pid)
-        tid.append(event.tid)
-        opcode.append(event.opcode)
-        process_id.append(vocab_id("process", event.process))
-        category_id.append(vocab_id("category", event.category))
-        name_id.append(vocab_id("name", event.name))
-
-        walk = event.frames
-        index = walk_ids.get(walk)
-        if index is None:
-            ids = []
-            for frame in walk:
-                frame_id = frame_ids.get(frame)
-                if frame_id is None:
-                    frame_id = len(frame_rows)
-                    frame_ids[frame] = frame_id
-                    frame_rows.append(
-                        (
-                            frame.index,
-                            vocab_id("module", frame.module),
-                            vocab_id("function", frame.function),
-                            frame.address,
-                        )
-                    )
-                ids.append(frame_id)
-            index = len(walk_offsets) - 1
-            walk_ids[walk] = index
-            walk_frame_ids.extend(ids)
-            walk_offsets.append(len(walk_frame_ids))
-        walk_id.append(index)
-
-    arrays = {
-        "eid": _int_column("eid", eid),
-        "timestamp": _int_column("timestamp", timestamp),
-        "pid": _int_column("pid", pid),
-        "tid": _int_column("tid", tid),
-        "opcode": _int_column("opcode", opcode),
-        "process_id": np.array(process_id, dtype=np.int64),
-        "category_id": np.array(category_id, dtype=np.int64),
-        "name_id": np.array(name_id, dtype=np.int64),
-        "walk_id": np.array(walk_id, dtype=np.int64),
-        "frame_index": _int_column(
-            "frame_index", [row[0] for row in frame_rows]
-        ),
-        "frame_module_id": np.array(
-            [row[1] for row in frame_rows], dtype=np.int64
-        ),
-        "frame_function_id": np.array(
-            [row[2] for row in frame_rows], dtype=np.int64
-        ),
-        "frame_address": _address_column([row[3] for row in frame_rows]),
-        "walk_frame_ids": np.array(walk_frame_ids, dtype=np.int64),
-        "walk_offsets": np.array(walk_offsets, dtype=np.int64),
-    }
-    counts = {
-        "events": len(eid),
-        "frames": len(frame_rows),
-        "walks": len(walk_offsets) - 1,
-    }
-    return _finalize_capture(
-        path,
-        arrays,
-        {name: list(table) for name, table in vocabs.items()},
-        counts,
-        report,
-        source,
-    )
-
-
-# -- vectorized writer -------------------------------------------------
-
-
-def _int_column_vec(name: str, values: Sequence[int]) -> np.ndarray:
-    # np.array performs the int64 range check itself (OverflowError),
-    # replacing the naive writer's per-value any() scan.
+    encoder = ChunkEncoder()
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise CaptureError(f"{name} value out of int64 range") from None
-
-
-def _walk_tables(distinct_walks: Sequence[Tuple[StackFrame, ...]]) -> dict:
-    """Frame table, walk CSR arrays, and module/function vocabularies
-    from the distinct walks in first-appearance order.
-
-    Byte-identical to the naive writer's interleaved traversal: the
-    naive loop only does frame/vocab work when it meets a *new* walk,
-    so its traversal order is exactly "frames of each distinct walk, in
-    walk first-appearance order" — a frame's first appearance in that
-    sequence equals its first appearance in event order (a repeated
-    walk cannot introduce a frame its first occurrence didn't)."""
-    module_table: dict = {}
-    function_table: dict = {}
-    frame_ids: dict = {}
-    frame_index: List[int] = []
-    frame_module_id: List[int] = []
-    frame_function_id: List[int] = []
-    frame_address: List[int] = []
-    walk_frame_ids: List[int] = []
-    walk_offsets: List[int] = [0]
-    for walk in distinct_walks:
-        for frame in walk:
-            frame_id = frame_ids.get(frame)
-            if frame_id is None:
-                frame_id = len(frame_index)
-                frame_ids[frame] = frame_id
-                frame_index.append(frame.index)
-                module = module_table.get(frame.module)
-                if module is None:
-                    module = len(module_table)
-                    module_table[frame.module] = module
-                frame_module_id.append(module)
-                function = function_table.get(frame.function)
-                if function is None:
-                    function = len(function_table)
-                    function_table[frame.function] = function
-                frame_function_id.append(function)
-                frame_address.append(frame.address)
-            walk_frame_ids.append(frame_id)
-        walk_offsets.append(len(walk_frame_ids))
-    return {
-        "frame_index": _int_column_vec("frame_index", frame_index),
-        "frame_module_id": np.array(frame_module_id, dtype=np.int64),
-        "frame_function_id": np.array(frame_function_id, dtype=np.int64),
-        "frame_address": _address_column(frame_address),
-        "walk_frame_ids": np.array(walk_frame_ids, dtype=np.int64),
-        "walk_offsets": np.array(walk_offsets, dtype=np.int64),
-        "module_vocab": list(module_table),
-        "function_vocab": list(function_table),
+        chunks = encoder.encode_stream(cols)
+    except ChunkError as error:
+        raise CaptureError(str(error)) from error
+    meta = {
+        "schema": SCHEMA,
+        "counts": {"events": cols.n_events, **encoder.counts},
+        "source": source,
+        "parse_report": None if report is None else report.to_dict(),
     }
-
-
-def _arrays_from_columns(cols) -> "tuple[dict, dict]":
-    """Array assembly from canonical :class:`EventColumns` (the parser's
-    sidecar, the generator's columns, or columnized records): every
-    per-event quantity is already an id or an int list, so the writer's
-    per-event cost is five ``np.array`` conversions."""
-    walk_arrays = _walk_tables(cols.walks)
-    arrays = {
-        "eid": _int_column_vec("eid", cols.eid),
-        "timestamp": _int_column_vec("timestamp", cols.timestamp),
-        "pid": _int_column_vec("pid", cols.pid),
-        "tid": _int_column_vec("tid", cols.tid),
-        "opcode": _int_column_vec("opcode", cols.opcode),
-        "process_id": np.array(cols.process_id, dtype=np.int64),
-        "category_id": np.array(cols.category_id, dtype=np.int64),
-        "name_id": np.array(cols.name_id, dtype=np.int64),
-        "walk_id": np.array(cols.walk_id, dtype=np.int64),
-        "frame_index": walk_arrays["frame_index"],
-        "frame_module_id": walk_arrays["frame_module_id"],
-        "frame_function_id": walk_arrays["frame_function_id"],
-        "frame_address": walk_arrays["frame_address"],
-        "walk_frame_ids": walk_arrays["walk_frame_ids"],
-        "walk_offsets": walk_arrays["walk_offsets"],
-    }
-    vocabs = {
-        "process": cols.process_vocab,
-        "category": cols.category_vocab,
-        "name": cols.name_vocab,
-        "module": walk_arrays["module_vocab"],
-        "function": walk_arrays["function_vocab"],
-    }
-    counts = {
-        "events": cols.n_events,
-        "frames": len(walk_arrays["frame_index"]),
-        "walks": len(cols.walks),
-    }
-    return arrays, vocabs, counts
+    path.mkdir(parents=True, exist_ok=True)
+    (path / JSON_NAME).write_text(json.dumps(meta, indent=2) + "\n")
+    with open(path / EVENTS_NAME, "wb") as out:
+        out.writelines(chunks)
+    return path
 
 
 def write_capture(
@@ -445,45 +695,13 @@ def write_capture(
     report: Optional[ParseReport] = None,
     source: Optional[dict] = None,
 ) -> Path:
-    """Serialize parsed events to a capture directory ``path``.
-
-    Creates the directory (and parents) if needed; overwrites an
-    existing capture in place.  Returns the capture path.
-
-    Output is byte-identical to :func:`write_capture_naive` for every
-    input; the difference is speed.  When ``events`` is an
-    :class:`~repro.etw.events.EventLog` carrying the parser's
-    :class:`~repro.etw.events.EventColumns` sidecar
-    (``parse_fast(..., columns=True)``, as :func:`convert_log` uses),
-    array assembly skips per-event attribute access entirely; arbitrary
-    event sequences are columnized first (:meth:`EventColumns.from_records`).
-    """
-    path = Path(os.fspath(path))
-    cols = getattr(events, "columns", None)
-    if cols is None or cols.n_events != len(events):
-        cols = EventColumns.from_records(events)
-    arrays, vocabs, counts = _arrays_from_columns(cols)
-    return _finalize_capture(path, arrays, vocabs, counts, report, source)
-
-
-def write_capture_columns(
-    path: Union[str, os.PathLike],
-    cols,
-    *,
-    report: Optional[ParseReport] = None,
-    source: Optional[dict] = None,
-) -> Path:
-    """Serialize an :class:`~repro.etw.events.EventColumns` directly.
-
-    The generation fast path's sink: column blocks go straight to the
-    capture arrays without ever materializing an ``EventRecord`` (or a
-    line of text).  Byte-identical to :func:`write_capture_naive` over
-    the equivalent event list — ``tests/test_fastgen.py`` holds both
-    writers to it.
-    """
-    path = Path(os.fspath(path))
-    arrays, vocabs, counts = _arrays_from_columns(cols)
-    return _finalize_capture(path, arrays, vocabs, counts, report, source)
+    """:func:`write_capture_columns` of parsed events: an
+    :class:`~repro.etw.events.EventLog`'s columns when it carries them
+    (``parse_fast(..., columns=True)``, as :func:`convert_log` uses, or
+    a loaded capture), else the columns of the records."""
+    return write_capture_columns(
+        path, event_columns(events), report=report, source=source
+    )
 
 
 def convert_log(
@@ -527,157 +745,46 @@ def convert_log(
     )
 
 
-# -- reading ----------------------------------------------------------
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CaptureError(message)
-
-
 def load_capture(path: Union[str, os.PathLike]) -> Capture:
     """Load and validate a capture; its events are bit-identical to the
     parse that was converted (same interned frames, same report).
 
-    Every array is checked before it is trusted; the records themselves
+    Every chunk is checked before it is trusted; the records themselves
     are only built when ``Capture.events`` is first used."""
     path = Path(os.fspath(path))
     json_path = path / JSON_NAME
-    npz_path = path / NPZ_NAME
-    if not json_path.is_file() or not npz_path.is_file():
+    events_path = path / EVENTS_NAME
+    if not json_path.is_file():
         raise CaptureError(
-            f"{path} is not a capture (needs {JSON_NAME} + {NPZ_NAME})"
+            f"{path} is not a capture (needs {JSON_NAME} + {EVENTS_NAME})"
         )
     try:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise CaptureError(f"unparseable {json_path}: {error}") from error
-    schema = meta.get("schema")
+    schema = meta.get("schema") if isinstance(meta, dict) else None
     if schema != SCHEMA:
         raise CaptureVersionError(
             f"capture schema {schema!r} is not supported (expected {SCHEMA!r})"
         )
-
-    with np.load(npz_path, allow_pickle=False) as data:
-        try:
-            arrays = {key: data[key] for key in data.files}
-        except (ValueError, OSError) as error:
-            raise CaptureError(f"unreadable {npz_path}: {error}") from error
-
     try:
-        vocab = {
-            name: _split_vocab(arrays[f"vocab_{name}"][()], name)
-            for name in _VOCAB_NAMES
-        }
-        eid = arrays["eid"]
-        timestamp = arrays["timestamp"]
-        pid = arrays["pid"]
-        tid = arrays["tid"]
-        opcode = arrays["opcode"]
-        process_id = arrays["process_id"]
-        category_id = arrays["category_id"]
-        name_id = arrays["name_id"]
-        walk_id = arrays["walk_id"]
-        frame_index = arrays["frame_index"]
-        frame_module_id = arrays["frame_module_id"]
-        frame_function_id = arrays["frame_function_id"]
-        frame_address = arrays["frame_address"]
-        walk_frame_ids = arrays["walk_frame_ids"]
-        walk_offsets = arrays["walk_offsets"]
-    except KeyError as error:
-        raise CaptureError(f"capture is missing array {error}") from error
-
-    for name in _INT_ARRAYS:
-        _require(
-            arrays[name].ndim == 1 and arrays[name].dtype.kind in "iu",
-            f"array {name} must be a 1-d integer array",
-        )
-    n_events = len(eid)
-    n_frames = len(frame_index)
-    n_walks = len(walk_offsets) - 1
-    for name, column in (
-        ("timestamp", timestamp),
-        ("pid", pid),
-        ("tid", tid),
-        ("opcode", opcode),
-        ("process_id", process_id),
-        ("category_id", category_id),
-        ("name_id", name_id),
-        ("walk_id", walk_id),
-    ):
-        _require(
-            len(column) == n_events, f"column {name} length != event count"
-        )
-    _require(
-        len(frame_module_id) == n_frames
-        and len(frame_function_id) == n_frames
-        and len(frame_address) == n_frames,
-        "frame table columns disagree on length",
-    )
-    _require(n_walks >= 0, "walk_offsets must have at least one entry")
-    offsets = walk_offsets.tolist()
-    _require(
-        offsets[0] == 0 and offsets[-1] == len(walk_frame_ids),
-        "walk_offsets must span walk_frame_ids exactly",
-    )
-    _require(
-        all(a <= b for a, b in zip(offsets, offsets[1:])),
-        "walk_offsets must be monotonically non-decreasing",
-    )
-    for name, column, bound in (
-        ("process_id", process_id, len(vocab["process"])),
-        ("category_id", category_id, len(vocab["category"])),
-        ("name_id", name_id, len(vocab["name"])),
-        ("walk_id", walk_id, n_walks),
-        ("frame_module_id", frame_module_id, len(vocab["module"])),
-        ("frame_function_id", frame_function_id, len(vocab["function"])),
-        ("walk_frame_ids", walk_frame_ids, n_frames),
-    ):
-        if len(column) and (
-            int(column.min()) < 0 or int(column.max()) >= bound
-        ):
-            raise CaptureError(f"{name} out of range [0, {bound})")
-    for name in ("process", "category", "name", "module", "function"):
-        for value in vocab[name]:
-            if "|" in value or "\r" in value:
-                raise CaptureError(
-                    f"vocab_{name} entry {value!r} contains a raw-log "
-                    "delimiter"
-                )
-
-    modules = vocab["module"]
-    functions = vocab["function"]
-    frames: List[StackFrame] = [
-        intern_frame(index, modules[module], functions[function], address)
-        for index, module, function, address in zip(
-            frame_index.tolist(),
-            frame_module_id.tolist(),
-            frame_function_id.tolist(),
-            frame_address.tolist(),
-        )
-    ]
-    flat = walk_frame_ids.tolist()
-    columns = EventColumns()
-    columns.n_events = n_events
-    columns.eid = eid
-    columns.timestamp = timestamp
-    columns.pid = pid
-    columns.tid = tid
-    columns.opcode = opcode
-    columns.process_id = process_id
-    columns.category_id = category_id
-    columns.name_id = name_id
-    columns.walk_id = walk_id
-    columns.process_vocab = vocab["process"]
-    columns.category_vocab = vocab["category"]
-    columns.name_vocab = vocab["name"]
-    columns.walks = [
-        tuple(frames[frame_id] for frame_id in flat[start:stop])
-        for start, stop in zip(offsets, offsets[1:])
-    ]
-
+        data = events_path.read_bytes()
+    except OSError as error:
+        raise CaptureError(
+            f"{path} is not a capture (needs {JSON_NAME} + {EVENTS_NAME})"
+        ) from error
+    try:
+        blocks, reports = CaptureChunkDecoder().decode(data)
+    except ChunkError as error:
+        raise CaptureError(f"{events_path}: {error}") from error
+    if reports:
+        raise CaptureError(f"{events_path}: only events chunks are allowed")
     report_doc = meta.get("parse_report")
-    report = None if report_doc is None else ParseReport.from_dict(report_doc)
+    try:
+        report = None if report_doc is None else ParseReport.from_dict(report_doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise CaptureError(f"bad parse_report in {json_path}: {error}") from error
+    columns = _joined(blocks)
     events = EventLog.deferred(
         columns, _capture_records, report=report, source=os.fspath(path)
     )

@@ -126,20 +126,16 @@ class EventColumns:
     * the generation fast path (``fastgen.to_event_columns``) builds it
       without any records;
     * :meth:`from_records` columnizes any record list;
-    * :func:`~repro.etw.capture.load_capture` returns the validated
-      capture arrays (int64 ndarrays) with a per-capture walk table.
+    * the chunk decoder (:mod:`repro.etw.capture`, shared by
+      ``load_capture`` and the serve wire) returns validated int64
+      ndarrays over its cumulative vocabularies and walk table.
 
     Every producer guarantees that each ``*_id`` column indexes its
     vocabulary, ``walk_id`` indexes ``walks``, and all per-event columns
     are exactly ``n_events`` long.  The batch scorer
-    (``LeapsPipeline.score_columns``) needs no more than that.
-
-    All but the capture reader also guarantee what the capture writer
-    relies on: vocabularies list distinct values in first-appearance
-    order over the events, ``walks`` lists the distinct walk tuples in
-    first-appearance order, and every event whose walk repeats an
-    earlier one shares the *same* tuple object.  A loaded capture only
-    promises what its file holds, so it is never a writer's input.
+    (``LeapsPipeline.score_columns``) and the chunk encoder need no more
+    than that: the encoder re-interns ids in first-appearance order
+    itself.
     """
 
     __slots__ = (
@@ -189,6 +185,18 @@ class EventColumns:
         )
         cols.walk_id, cols.walks = _walk_ids([event.frames for event in events])
         return cols
+
+
+def event_columns(events: Sequence[EventRecord]) -> EventColumns:
+    """The interned columns of an event sequence: a deferred capture
+    log's columns, a log's sidecar, or the columns of the records
+    themselves."""
+    if isinstance(events, EventLog):
+        if events.unbuilt_columns is not None:
+            return events.unbuilt_columns
+        if events.columns is not None and events.columns.n_events == len(events):
+            return events.columns
+    return EventColumns.from_records(events)
 
 
 def first_appearance_ids(values: list) -> Tuple[np.ndarray, list]:
@@ -251,7 +259,8 @@ class EventLog(list):
     directory path for the columnar reader, ``None`` for hand-built
     logs) — fleet scans use it to ship a *path* to pool workers instead
     of pickling the whole event list.  ``columns`` optionally carries
-    the parser's :class:`EventColumns` sidecar; it is only valid while
+    the log's :class:`EventColumns` sidecar (the parser's, or a deferred
+    log's columns once its records are built); it is only valid while
     the log is unmodified, so every mutation drops it.
 
     A *deferred* log (:meth:`deferred`) holds interned columns instead
@@ -349,6 +358,8 @@ class _DeferredEventLog(EventLog):
                 list.extend(self, build(columns))
                 self._deferred = None
                 self.__class__ = EventLog
+                # the records match the columns: keep them as the sidecar
+                self.columns = columns
 
 
 def _building(name: str):

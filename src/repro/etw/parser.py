@@ -631,11 +631,12 @@ class RawLogParser:
     ) -> List[EventRecord]:
         if isinstance(lines, EventLog):
             # Already-parsed events (e.g. from a columnar capture): no
-            # text to parse.  Their original parse's accounting merges
+            # text to parse, and the log itself (with its columns) is
+            # the result.  Their original parse's accounting merges
             # into the caller's report so recovery stats aren't lost.
             if report is not None and lines.report is not None:
                 report.merge(lines.report)
-            return list(lines)
+            return lines
         from repro.etw.fastparse import parse_fast  # circular at import
 
         return parse_fast(

@@ -12,7 +12,8 @@ payloads are UTF-8 JSON; ``FRAME_DATA`` payloads are raw log bytes in
 arbitrary chunks — the server reassembles lines across frame
 boundaries, so a client may flush whenever it likes.
 ``FRAME_DATA_COLUMNAR`` payloads are self-delimiting columnar chunk
-bytes (:mod:`repro.serve.columnar`) in equally arbitrary fragments —
+bytes — the chunk stream of :mod:`repro.etw.capture`, the bytes a
+capture's ``events.lc`` holds — in equally arbitrary fragments —
 the server reassembles chunks across frame boundaries too.  A stream
 commits to one data representation with its first data frame; mixing
 ``DATA`` and ``DATA_COLUMNAR`` on one stream is a protocol error.
@@ -205,34 +206,37 @@ class ServeClient:
         The encoder is per-connection and stateful: repeated calls keep
         growing the same cumulative vocab/frame/walk tables, so each
         distinct string, frame, and walk crosses the wire once."""
-        from repro.serve.columnar import ChunkEncoder
+        from repro.etw.events import event_columns
 
-        if self._encoder is None:
-            self._encoder = ChunkEncoder()
-        step = max(1, int(chunk_events))
-        for start in range(0, len(events), step):
-            self.send_chunk(
-                self._encoder.encode_events(events[start : start + step])
-            )
+        self._send_columns(event_columns(events), chunk_events)
 
     def send_report(self, report) -> None:
         """Ship the client's local :class:`ParseReport` so the terminal
         ``RESULT`` matches a server-side parse of the same text."""
-        from repro.serve.columnar import ChunkEncoder
-
-        if self._encoder is None:
-            self._encoder = ChunkEncoder()
-        self.send_chunk(self._encoder.encode_report(report))
+        self.send_chunk(self._chunk_encoder().encode_report(report))
 
     def send_capture(self, path, chunk_events: int = 8192) -> None:
         """Load a client-local ``.leapscap`` capture and stream it
-        columnar — events in chunks, then its conversion report."""
+        columnar — its columns in chunks (no record is built), then its
+        conversion report."""
         from repro.etw.capture import load_capture
 
         capture = load_capture(path)
-        self.send_events(list(capture.events), chunk_events=chunk_events)
+        self._send_columns(capture.columns, chunk_events)
         if capture.report is not None:
             self.send_report(capture.report)
+
+    def _send_columns(self, columns, chunk_events: int) -> None:
+        encoder = self._chunk_encoder()
+        for chunk in encoder.encode_stream(columns, chunk_events):
+            self.send_chunk(chunk)
+
+    def _chunk_encoder(self):
+        if self._encoder is None:
+            from repro.serve.columnar import ChunkEncoder
+
+            self._encoder = ChunkEncoder()
+        return self._encoder
 
     def finish(self, timeout: Optional[float] = 120.0) -> StreamOutcome:
         """Send ``END`` and wait for the terminal frame."""

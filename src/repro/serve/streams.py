@@ -30,8 +30,8 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
-from repro.core.pipeline import StreamChunker, event_columns
-from repro.etw.events import EventColumns
+from repro.core.pipeline import StreamChunker
+from repro.etw.events import EventColumns, event_columns
 from repro.etw.fastparse import StreamingParser
 from repro.etw.parser import LogLine, ParseError
 from repro.serve.batching import ScoreChunk
@@ -65,7 +65,9 @@ class StreamScanner:
         self.windows_made = 0
         self.bytes_seen = 0
         self.lines_seen = 0
-        self.decode_s = 0.0  # byte→line / chunk→event decode time
+        # bytes → events in both wire modes: line split + parse (text),
+        # chunk decode (columnar)
+        self.decode_s = 0.0
         self.featurize_s = 0.0  # transform + coalesce + chunk time
         self.finished = False
         self.disconnected = False
@@ -137,14 +139,19 @@ class StreamScanner:
 
     def feed_lines(self, lines: List[LogLine], cr_free: bool = False) -> None:
         self.lines_seen += len(lines)
+        start = time.perf_counter()
         try:
-            events = self.parser.feed_lines(lines, cr_free=cr_free)
+            columns = event_columns(
+                self.parser.feed_lines(lines, cr_free=cr_free)
+            )
         except ParseError:
             # strict policy: the stream is dead; the report was
             # finalized by the machine before raising
             self.finished = True
             raise
-        self.feed_events(event_columns(events))
+        finally:
+            self.decode_s += time.perf_counter() - start
+        self.feed_events(columns)
 
     def finish(self, disconnected: bool = False) -> None:
         """End of stream: flush the fragment, run the parser's real
@@ -177,13 +184,17 @@ class StreamScanner:
             # exactly as in a batch read of the whole file
             tail.append(self._decode(self._fragment, strip_cr=False))
             self._fragment = b""
+        start = time.perf_counter()
         try:
             events = self.parser.feed_lines(tail) if tail else []
             events.extend(self.parser.finish())
+            columns = event_columns(events)
         except ParseError:
             self.finished = True
             raise
-        self.feed_events(event_columns(events))
+        finally:
+            self.decode_s += time.perf_counter() - start
+        self.feed_events(columns)
         if disconnected and not self.report.truncated_tail:
             from repro.etw.recovery import ParseErrorKind
 

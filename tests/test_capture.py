@@ -8,24 +8,29 @@ log head when the dataset cache is present.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.etw.capture import (
+    EVENTS_NAME,
     SCHEMA,
     Capture,
     CaptureError,
     CaptureVersionError,
+    ChunkEncoder,
+    _column_slice,
     convert_log,
     is_capture_path,
     iter_capture,
     load_capture,
     read_capture,
     write_capture,
-    write_capture_naive,
 )
-from repro.etw.events import EventLog
+from repro.etw.events import EventColumns, EventLog, event_columns
 from repro.etw.parser import (
     RawLogParser,
     iter_parse,
@@ -34,8 +39,39 @@ from repro.etw.parser import (
 )
 from repro.etw.recovery import ParseReport
 
+from tests.codec_oracle import (
+    OracleChunkEncoder,
+    OracleError,
+    write_capture_oracle,
+)
 from tests.conftest import HAS_GOLDEN_DATA, TINY_LOG
 from tests.faults import fault_corpus
+
+
+def many_chunk_lines(n_events=2 * 8192 + 500):
+    """A text log that a capture stores as three chunks, with names and
+    stacks that first appear in later chunks."""
+    from tests.test_api import APP, NET, PAYLOAD, SYS, make_log
+
+    stacks = (APP + SYS, PAYLOAD + NET, APP + NET)
+    return make_log(
+        [
+            (f"op{index % 7}_{index // 6000}", stacks[index % 3])
+            for index in range(n_events)
+        ]
+    )
+
+
+_PARSED: dict = {}
+
+
+def parse_many_chunks():
+    """``many_chunk_lines`` parsed once per test run (with its sidecar)."""
+    from repro.etw.fastparse import parse_fast
+
+    if "many" not in _PARSED:
+        _PARSED["many"] = parse_fast(many_chunk_lines(), columns=True)
+    return _PARSED["many"]
 
 
 def roundtrip(tmp_path, lines, policy="drop", name="log"):
@@ -134,6 +170,27 @@ class TestGoldenRoundTrip:
             ), relpath
 
 
+def test_capture_module_does_not_import_serve():
+    """The codec lives below the service: a scan that loads captures
+    never pays for importing ``repro.serve``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.etw.capture; "
+         "print(sorted(m for m in sys.modules if m.startswith('repro.serve')))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestPathAddressing:
     def test_is_capture_path(self, tmp_path):
         assert is_capture_path("x.leapscap")
@@ -176,40 +233,71 @@ class TestValidation:
             load_capture(capture_path)
         assert issubclass(CaptureVersionError, CaptureError)
 
-    def _rewrite(self, capture_path, **overrides):
-        with np.load(capture_path / "arrays.npz", allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays.update(overrides)
-        np.savez(capture_path / "arrays.npz", **arrays)
+    @staticmethod
+    def _tamper(capture_path, edit):
+        """Rewrite ``events.lc`` as ``edit(bytearray, n_events)`` returns
+        it (the TINY_LOG capture is one chunk)."""
+        counts = json.loads((capture_path / "capture.json").read_text())["counts"]
+        blob = bytearray((capture_path / EVENTS_NAME).read_bytes())
+        blob = edit(blob, counts["events"])
+        (capture_path / EVENTS_NAME).write_bytes(bytes(blob))
 
     def test_id_out_of_range(self, capture_path):
-        with np.load(capture_path / "arrays.npz") as data:
-            name_id = data["name_id"].copy()
-        name_id[0] = 999
-        self._rewrite(capture_path, name_id=name_id)
+        def edit(blob, n):
+            # name_id is the second-to-last int64 column
+            struct.pack_into("<q", blob, len(blob) - 2 * n * 8, 999)
+            return blob
+
+        self._tamper(capture_path, edit)
         with pytest.raises(CaptureError, match="name_id out of range"):
             load_capture(capture_path)
 
     def test_broken_offsets(self, capture_path):
-        with np.load(capture_path / "arrays.npz") as data:
-            offsets = data["walk_offsets"].copy()
-        offsets[-1] = offsets[-1] + 5
-        self._rewrite(capture_path, walk_offsets=offsets)
-        with pytest.raises(CaptureError, match="walk_offsets"):
+        def edit(blob, n):
+            # the last walk length sits just before the event columns
+            at = len(blob) - 9 * n * 8 - 8
+            (length,) = struct.unpack_from("<q", blob, at)
+            struct.pack_into("<q", blob, at, length + 5)
+            return blob
+
+        self._tamper(capture_path, edit)
+        with pytest.raises(CaptureError, match="walk lengths do not cover"):
             load_capture(capture_path)
 
     def test_missing_array(self, capture_path):
-        with np.load(capture_path / "arrays.npz") as data:
-            arrays = {
-                key: data[key] for key in data.files if key != "timestamp"
-            }
-        np.savez(capture_path / "arrays.npz", **arrays)
-        with pytest.raises(CaptureError, match="missing array"):
+        def edit(blob, n):
+            # drop the walk_id column and shrink the chunk to match
+            magic, version, kind, body_len = struct.unpack_from(">2sBBI", blob)
+            struct.pack_into(">2sBBI", blob, 0, magic, version, kind, body_len - n * 8)
+            return blob[: -n * 8]
+
+        self._tamper(capture_path, edit)
+        with pytest.raises(CaptureError, match="truncated reading walk_id"):
             load_capture(capture_path)
 
     def test_delimiter_in_vocab(self, capture_path):
-        self._rewrite(capture_path, vocab_process=np.array("bad|name\n"))
+        def edit(blob, n):
+            # header, n_events, the process delta's two counts, then its blob
+            at = 8 + 4 + 8
+            assert blob[at : at + 7] == b"app.exe"
+            blob[at + 3] = ord("|")
+            return blob
+
+        self._tamper(capture_path, edit)
         with pytest.raises(CaptureError, match="delimiter"):
+            load_capture(capture_path)
+
+    def test_v1_directory_is_a_version_error(self, capture_path):
+        meta = json.loads((capture_path / "capture.json").read_text())
+        meta["schema"] = "leaps-capture/v1"
+        (capture_path / "capture.json").write_text(json.dumps(meta))
+        (capture_path / EVENTS_NAME).rename(capture_path / "arrays.npz")
+        with pytest.raises(CaptureVersionError, match="v1"):
+            load_capture(capture_path)
+
+    def test_missing_events_file(self, capture_path):
+        (capture_path / EVENTS_NAME).unlink()
+        with pytest.raises(CaptureError, match="is not a capture"):
             load_capture(capture_path)
 
     def test_write_rejects_out_of_range_ints(self, tmp_path):
@@ -220,37 +308,28 @@ class TestValidation:
             write_capture(tmp_path / "x.leapscap", [huge])
 
     def test_schema_constant(self):
-        assert SCHEMA == "leaps-capture/v1"
+        assert SCHEMA == "leaps-capture/v2"
 
 
 class TestWriterEquivalence:
-    """``write_capture`` is the vectorized twin of
-    ``write_capture_naive`` — byte-identical output on every input
-    shape, differing only in speed."""
+    """``write_capture`` is byte-identical to the per-record oracle
+    (tests/codec_oracle.py) on every input shape."""
 
     @staticmethod
     def assert_captures_identical(a, b):
-        """Byte-compare two capture directories; the npz is compared
-        per member because zip containers embed timestamps."""
-        import zipfile
-
+        """Byte-compare two capture directories, file by file."""
         assert sorted(p.name for p in a.iterdir()) == sorted(
             p.name for p in b.iterdir()
         )
-        assert (a / "capture.json").read_bytes() == (
-            b / "capture.json"
-        ).read_bytes()
-        with zipfile.ZipFile(a / "arrays.npz") as zip_a, zipfile.ZipFile(
-            b / "arrays.npz"
-        ) as zip_b:
-            assert zip_a.namelist() == zip_b.namelist()
-            for member in zip_a.namelist():
-                assert zip_a.read(member) == zip_b.read(member), member
+        for member in a.iterdir():
+            assert member.read_bytes() == (b / member.name).read_bytes(), member
 
     def write_both(self, tmp_path, events, **kwargs):
-        naive = write_capture_naive(tmp_path / "naive.leapscap", events, **kwargs)
+        oracle = write_capture_oracle(
+            tmp_path / "oracle.leapscap", events, **kwargs
+        )
         vec = write_capture(tmp_path / "vec.leapscap", events, **kwargs)
-        self.assert_captures_identical(naive, vec)
+        self.assert_captures_identical(oracle, vec)
         return vec
 
     def test_columns_sidecar_path(self, tmp_path):
@@ -299,9 +378,25 @@ class TestWriterEquivalence:
         events = list(iter_parse(TINY_LOG.splitlines()))
         huge = events[0].with_frames(events[0].frames)
         huge.timestamp = 2**70
-        for writer in (write_capture_naive, write_capture):
-            with pytest.raises(CaptureError, match="int64 range"):
+        for writer, error in (
+            (write_capture_oracle, OracleError),
+            (write_capture, CaptureError),
+        ):
+            with pytest.raises(error, match="int64 range"):
                 writer(tmp_path / "x.leapscap", [huge])
+
+    def test_loaded_capture_rewrites_identically(self, tmp_path):
+        """A loaded capture's columns are a writer's input too: writing
+        them back reproduces the file, with or without built records."""
+        events = parse_many_chunks()
+        first = write_capture(tmp_path / "a.leapscap", events)
+        loaded = load_capture(first).events
+        again = write_capture(tmp_path / "b.leapscap", loaded)
+        self.assert_captures_identical(first, again)
+        list(loaded)  # build the records; the columns stay the sidecar
+        assert loaded.columns is not None
+        third = write_capture(tmp_path / "c.leapscap", loaded)
+        self.assert_captures_identical(first, third)
 
 
     @pytest.mark.skipif(not HAS_GOLDEN_DATA, reason="golden cache missing")
@@ -319,6 +414,210 @@ class TestWriterEquivalence:
             scratch = tmp_path / relpath.replace("/", "_")
             scratch.mkdir()
             self.write_both(scratch, events, report=report)
+
+
+def codec_inputs():
+    """Name → parsed events for the encoder-vs-oracle property: text,
+    the fault corpus, uint64 addresses, the empty log, and a log of
+    three chunks."""
+    from repro.etw.fastparse import parse_fast
+
+    from tests.test_api import make_log
+    from tests.test_stream_scan import SCAN_SPECS
+
+    if "inputs" not in _PARSED:
+        text = TINY_LOG.splitlines() * 3 + make_log(SCAN_SPECS, start_eid=3)
+        inputs = {"text": parse_fast(text, columns=True)}
+        for variant in fault_corpus(TINY_LOG.splitlines() * 3, seed=0):
+            inputs[f"fault-{variant.name}"] = parse_fast(
+                variant.lines, policy="drop", columns=True
+            )
+        lines = TINY_LOG.splitlines()
+        lines[1] = "STACK|0|0|app.exe|WinMain|0xfffffffffffff012"
+        inputs["uint64"] = RawLogParser().parse_lines(lines)
+        inputs["empty"] = []
+        inputs["three-chunks"] = parse_many_chunks()
+        _PARSED["inputs"] = inputs
+    return _PARSED["inputs"]
+
+
+def shuffled_tables(columns, seed):
+    """The same events over vocabularies and a walk table listed in a
+    random order: ids no longer appear in first-appearance order."""
+    rng = np.random.default_rng(seed)
+    out = EventColumns()
+    out.n_events = columns.n_events
+    for name in ("eid", "timestamp", "pid", "tid", "opcode"):
+        setattr(out, name, getattr(columns, name))
+    for ids, table in (
+        ("process_id", "process_vocab"),
+        ("category_id", "category_vocab"),
+        ("name_id", "name_vocab"),
+        ("walk_id", "walks"),
+    ):
+        values = getattr(columns, table)
+        order = rng.permutation(len(values))
+        position = np.empty(len(values), dtype=np.int64)
+        position[order] = np.arange(len(values))
+        setattr(out, table, [values[index] for index in order])
+        setattr(out, ids, position[np.asarray(getattr(columns, ids), dtype=np.int64)])
+    return out
+
+
+class TestEncoderMatchesOracle:
+    """``encode_columns`` writes the per-record oracle's bytes over any
+    split of a log into chunks on one encoder."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_split_points(self, data):
+        inputs = codec_inputs()
+        name = data.draw(st.sampled_from(sorted(inputs)))
+        events = inputs[name]
+        columns = event_columns(events)
+        if data.draw(st.booleans()):
+            columns = shuffled_tables(columns, data.draw(st.integers(0, 2**32 - 1)))
+        cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=6))
+        bounds = [0, *sorted(cuts), len(events)]
+        encoder, oracle = ChunkEncoder(), OracleChunkEncoder()
+        for start, stop in zip(bounds, bounds[1:]):
+            assert encoder.encode_columns(
+                _column_slice(columns, start, stop)
+            ) == oracle.encode_events(events[start:stop]), (name, start, stop)
+
+    def test_three_chunk_capture(self, tmp_path):
+        events = parse_many_chunks()
+        path = write_capture(tmp_path / "x.leapscap", events)
+        oracle = write_capture_oracle(tmp_path / "o.leapscap", events)
+        for name in ("capture.json", EVENTS_NAME):
+            assert (path / name).read_bytes() == (oracle / name).read_bytes()
+        blob = (path / EVENTS_NAME).read_bytes()
+        assert chunk_offsets(blob)[1:] != [] and len(chunk_offsets(blob)) == 3
+        capture = load_capture(path)
+        assert capture.columns.n_events == len(events)
+        assert list(capture.events) == list(events)
+
+    def test_generated_capture_matches_oracle(self, tmp_path):
+        """The generation fast path's numpy columns, three chunks."""
+        from repro.datasets.generation import generate_dataset
+
+        generate_dataset(
+            "vim_reverse_tcp", tmp_path, seed=3, train_events=200,
+            scan_events=2 * 8192 + 100, format="capture",
+        )
+        path = tmp_path / "malicious.leapscap"
+        capture = load_capture(path)
+        oracle = write_capture_oracle(
+            tmp_path / "o.leapscap", list(capture.events),
+            source=capture.meta["source"],
+        )
+        assert len(chunk_offsets((path / EVENTS_NAME).read_bytes())) == 3
+        for name in ("capture.json", EVENTS_NAME):
+            assert (path / name).read_bytes() == (oracle / name).read_bytes()
+
+
+def chunk_offsets(blob):
+    """Start offset of every chunk in a chunk stream."""
+    offsets, at = [], 0
+    while at < len(blob):
+        offsets.append(at)
+        at += 8 + struct.unpack_from(">I", blob, at + 4)[0]
+    return offsets
+
+
+def count_field_bytes(blob):
+    """Offsets of the header bytes and of every count field byte of a
+    one-chunk events stream (plus the frame address dtype flag)."""
+    fields = [(0, 8), (8, 4)]  # header, n_events
+    at = 12
+    for _ in range(5):  # vocabulary deltas
+        _, blob_len = struct.unpack_from("<II", blob, at)
+        fields.append((at, 8))
+        at += 8 + blob_len
+    (n_frames,) = struct.unpack_from("<I", blob, at)
+    fields.append((at, 4))
+    at += 4 + 3 * 8 * n_frames
+    fields.append((at, 1))  # address dtype flag
+    at += 1 + 8 * n_frames
+    fields.append((at, 8))  # walk count, flat length
+    return [offset + k for offset, size in fields for k in range(size)]
+
+
+class TestHostileCapture:
+    """A damaged ``events.lc`` either loads (and its records build) or
+    raises CaptureError — never any other exception."""
+
+    @pytest.fixture
+    def capture_path(self, tmp_path):
+        src = tmp_path / "x.log"
+        src.write_text(TINY_LOG, encoding="utf-8")
+        return convert_log(src)
+
+    @staticmethod
+    def loads(path) -> bool:
+        try:
+            capture = load_capture(path)
+        except CaptureError:
+            return False
+        assert len(list(capture.events)) == capture.columns.n_events
+        return True
+
+    def test_truncated_at_every_offset(self, capture_path):
+        blob = (capture_path / EVENTS_NAME).read_bytes()
+        outcomes = []
+        for cut in range(len(blob)):
+            (capture_path / EVENTS_NAME).write_bytes(blob[:cut])
+            outcomes.append(self.loads(capture_path))
+        # only the empty file (an empty capture) is whole
+        assert outcomes == [True] + [False] * (len(blob) - 1)
+
+    def test_truncated_around_chunk_boundaries(self, tmp_path):
+        path = write_capture(tmp_path / "x.leapscap", parse_many_chunks())
+        blob = (path / EVENTS_NAME).read_bytes()
+        for boundary in chunk_offsets(blob)[1:]:
+            for cut, whole in ((boundary - 1, False), (boundary, True),
+                               (boundary + 1, False)):
+                (path / EVENTS_NAME).write_bytes(blob[:cut])
+                assert self.loads(path) is whole, cut
+
+    def test_flipped_header_and_count_bytes(self, capture_path):
+        blob = (capture_path / EVENTS_NAME).read_bytes()
+        loaded = []
+        for offset in count_field_bytes(blob):
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(blob)
+                damaged[offset] ^= mask
+                (capture_path / EVENTS_NAME).write_bytes(bytes(damaged))
+                if self.loads(capture_path):
+                    loaded.append((offset, mask))
+        # only reading the small addresses as uint64 leaves a valid chunk
+        flag = count_field_bytes(blob)[-9]
+        assert loaded == [(flag, 0x01)]
+
+    def test_report_chunk_is_rejected(self, capture_path):
+        blob = (capture_path / EVENTS_NAME).read_bytes()
+        report = ChunkEncoder().encode_report(ParseReport())
+        (capture_path / EVENTS_NAME).write_bytes(blob + report)
+        with pytest.raises(CaptureError, match="only events chunks"):
+            load_capture(capture_path)
+
+    @pytest.mark.parametrize(
+        "garbage", [b"\0", b"LC", b"LC\x01\x01", b"LC\x01\x01\0\0\0\x10", b"\xff" * 64]
+    )
+    def test_trailing_garbage_is_rejected(self, capture_path, garbage):
+        blob = (capture_path / EVENTS_NAME).read_bytes()
+        (capture_path / EVENTS_NAME).write_bytes(blob + garbage)
+        with pytest.raises(CaptureError):
+            load_capture(capture_path)
+
+    @pytest.mark.parametrize(
+        "meta", ["[]", '{"schema": "leaps-capture/v2", "parse_report": 7}',
+                 '{"schema": "leaps-capture/v2", "parse_report": {}}']
+    )
+    def test_hostile_metadata_is_rejected(self, capture_path, meta):
+        (capture_path / "capture.json").write_text(meta)
+        with pytest.raises(CaptureError):
+            load_capture(capture_path)
 
 
 class TestCaptureCli:

@@ -14,17 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.etw.capture import _capture_records
-from repro.etw.fastparse import parse_fast
-from repro.etw.recovery import ParseReport
-from repro.serve.batching import score_chunks
-from repro.serve.columnar import (
+from repro.etw.capture import (
     CHUNK_HEADER_SIZE,
     CaptureChunkDecoder,
     ChunkEncoder,
     ChunkError,
-    encode_event_stream,
+    _capture_records,
 )
+from repro.etw.events import event_columns
+from repro.etw.fastparse import parse_fast
+from repro.etw.recovery import ParseReport
+from repro.serve.batching import score_chunks
 from repro.serve.streams import StreamScanner
 
 from tests.conftest import TINY_LOG
@@ -46,7 +46,11 @@ def decode_records(decoder, blob):
 
 def encode_blob(events, report=None, chunk_events=8192):
     """Whole stream as one contiguous byte blob of columnar chunks."""
-    return b"".join(encode_event_stream(events, report, chunk_events))
+    encoder = ChunkEncoder()
+    chunks = encoder.encode_stream(event_columns(events), chunk_events)
+    if report is not None:
+        chunks.append(encoder.encode_report(report))
+    return b"".join(chunks)
 
 
 def scan_columnar(detector, blob, cuts=()):

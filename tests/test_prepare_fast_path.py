@@ -209,3 +209,42 @@ class TestColumnFeaturizedTraining:
             assert np.array_equal(getattr(prepared, name), getattr(oracle, name))
         assert fingerprint is not None
         assert fingerprint == oracle_fingerprint
+
+    def test_capture_training_reuses_the_capture_columns(
+        self, logs, tmp_path, monkeypatch
+    ):
+        """``fit_logs`` over captures featurizes each log from the
+        columns the capture already holds (no ``from_records``), and
+        saves the model that training on the same logs as text saves."""
+        from repro.etw.capture import write_capture
+        from repro.etw.events import EventColumns
+        from repro.etw.fastparse import parse_fast
+
+        benign_logs, mixed_logs = logs
+        _, text_fingerprint = self.train(logs, tmp_path / "text")
+        captures = [
+            [
+                str(write_capture(
+                    tmp_path / f"{role}{index}.leapscap",
+                    parse_fast(lines, columns=True),
+                ))
+                for index, lines in enumerate(role_logs)
+            ]
+            for role, role_logs in (("benign", benign_logs), ("mixed", mixed_logs))
+        ]
+        calls = []
+        from_records = EventColumns.from_records.__func__
+
+        def counting(cls, events):
+            calls.append(len(events))
+            return from_records(cls, events)
+
+        monkeypatch.setattr(EventColumns, "from_records", classmethod(counting))
+        detector = LeapsDetector(LeapsConfig(
+            window_events=10, stride=5, lam_grid=(1.0,), sigma2_grid=(30.0,),
+            cv_folds=0, max_train_windows=150, seed=0,
+        ))
+        detector.fit_logs(*captures)
+        assert calls == []
+        detector.save(tmp_path / "captures" / "bundle")
+        assert bundle_fingerprint(tmp_path / "captures" / "bundle") == text_fingerprint

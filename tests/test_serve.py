@@ -219,18 +219,17 @@ class TestServerLocalSources:
         serving a capture by path: the scan builds none, and its
         detections equal the text path's."""
         lines = make_log(SCAN_SPECS)
-        capture_path = write_capture(
-            tmp_path / "host.leapscap", RawLogParser().parse_lines(lines)
-        )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )}
-        out = subprocess.run(
-            [sys.executable, "-c", SERVE_SPY_SCRIPT, str(bundle), str(capture_path)],
-            capture_output=True, text=True, check=True, env=env, timeout=120,
-        )
-        made, detections = json.loads(out.stdout)
+        made, detections = spy_serve_capture(bundle, tmp_path, lines, "path")
+        assert made == 0
+        assert [tuple(row) for row in detections] == rows(detector.scan_stream(lines))
+        assert len(detections) == len(SCAN_SPECS) - 1
+
+    def test_send_capture_builds_no_records(self, detector, bundle, tmp_path):
+        """The same spy on a client streaming a capture columnar with
+        ``send_capture``: client and server build no record, and the
+        detections equal the text path's."""
+        lines = make_log(SCAN_SPECS)
+        made, detections = spy_serve_capture(bundle, tmp_path, lines, "send")
         assert made == 0
         assert [tuple(row) for row in detections] == rows(detector.scan_stream(lines))
         assert len(detections) == len(SCAN_SPECS) - 1
@@ -245,6 +244,25 @@ class TestServerLocalSources:
             assert outcome.detections == []
         finally:
             handle.stop()
+
+
+def spy_serve_capture(bundle, tmp_path, lines, mode):
+    """Write ``lines`` as a capture and scan it through a served stream
+    in a fresh interpreter that counts every EventRecord built; ``mode``
+    "path" serves it server-side, "send" streams it with
+    ``send_capture``.  Returns (records built, detection rows)."""
+    capture_path = write_capture(
+        tmp_path / "host.leapscap", RawLogParser().parse_lines(lines)
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", SERVE_SPY_SCRIPT, str(bundle), str(capture_path), mode],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    return json.loads(out.stdout)
 
 
 SERVE_SPY_SCRIPT = """
@@ -264,7 +282,11 @@ def counting_new(cls, *args, **kwargs):
 EventRecord.__new__ = staticmethod(counting_new)
 try:
     client = ServeClient(handle.address)
-    client.hello("by-capture", path=sys.argv[2])
+    if sys.argv[3] == "path":
+        client.hello("by-capture", path=sys.argv[2])
+    else:
+        client.hello("sent-capture")
+        client.send_capture(sys.argv[2], chunk_events=5)
     outcome = client.finish()
 finally:
     handle.stop()
@@ -437,11 +459,13 @@ class TestColumnarWire:
             handle.stop()
 
     def test_mode_mixing_rejected(self, registry):
+        from repro.etw.capture import ChunkEncoder
         from repro.etw.fastparse import parse_fast
-        from repro.serve.columnar import encode_event_stream
 
         lines = make_log(SCAN_SPECS[:4])
-        chunks = encode_event_stream(parse_fast(lines, policy="drop"))
+        chunks = ChunkEncoder().encode_stream(
+            parse_fast(lines, policy="drop", columns=True).columns
+        )
         handle = start_in_thread(registry, executor="thread")
         try:
             # text first, then a columnar frame: protocol violation
@@ -463,12 +487,12 @@ class TestColumnarWire:
             handle.stop()
 
     def test_partial_chunk_at_end_is_an_error(self, registry):
+        from repro.etw.capture import ChunkEncoder
         from repro.etw.fastparse import parse_fast
-        from repro.serve.columnar import encode_event_stream
 
-        chunk = encode_event_stream(
-            parse_fast(make_log(SCAN_SPECS[:4]), policy="drop")
-        )[0]
+        chunk = ChunkEncoder().encode_columns(
+            parse_fast(make_log(SCAN_SPECS[:4]), policy="drop", columns=True).columns
+        )
         handle = start_in_thread(registry, executor="thread")
         try:
             client = ServeClient(handle.address)

@@ -114,6 +114,17 @@ class TestStreamEquivalence:
         scanner.finish()
         assert [len(chunk.spans) for chunk in scanner.take_ready()] == want
 
+    def test_text_parse_counts_as_decode(self):
+        """A text stream's parse is bytes → events work: it lands in
+        ``decode_s``, as a columnar stream's chunk decode does."""
+        from repro.serve.streams import StreamScanner
+
+        scanner = StreamScanner("parse", tiny_detector().pipeline)
+        scanner.feed_lines(make_log(SCAN_SPECS))
+        assert scanner.decode_s > 0.0
+        scanner.finish()
+        assert scanner.events_seen == len(SCAN_SPECS)
+
     def test_stream_reads_an_open_file(self, tmp_path):
         """Lines as a text file yields them, ``\n`` included."""
         detector = tiny_detector(stream_chunk_windows=3)
